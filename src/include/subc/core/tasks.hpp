@@ -33,7 +33,8 @@ void check_agreement(std::span<const Value> decisions);
 void check_decided_if_done(const Runtime::RunResult& result);
 
 /// Every process is done and decided — the wait-free happy path where all
-/// participate.
+/// participate. Checks nothing on a cut run (`RunResult::cut`): its world
+/// is partial by design and is discarded whatever this would report.
 void check_all_done_and_decided(const Runtime::RunResult& result);
 
 /// Election validity: every decision is the id (pid) of a process that

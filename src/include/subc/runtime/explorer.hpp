@@ -53,9 +53,11 @@ using ExecutionBody = std::function<void(ScheduleDriver& driver)>;
 /// thread-default for the duration (so every Runtime the body constructs
 /// reports its events there; nullptr = unobserved). Returns the violation
 /// message when the body threw, nullopt on a clean execution. `observer`
-/// also receives the violation as an `on_violation` event. The explorer's
-/// control-flow cuts (`FrontierCut`/`PruneCut`/`SleepCut`) are not
-/// violations and propagate to the caller.
+/// also receives the violation as an `on_violation` event. The step-quota
+/// watchdog's `StuckCut` is not a violation and propagates to the caller.
+/// The explorer's other cuts are `SchedulePolicy::kCut` answers, not
+/// throws: the body sees a partial `RunResult` with `cut` set, and the
+/// explorer drops whatever the body throws on such a run.
 std::optional<std::string> run_one(const ExecutionBody& body,
                                    SchedulePolicy& policy,
                                    TraceObserver* observer = nullptr);

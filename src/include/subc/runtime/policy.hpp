@@ -114,10 +114,10 @@ class DelayBoundedPolicy final : public SchedulePolicy {
 };
 
 /// Crash-failure adversary over an arbitrary inner policy. Scheduling and
-/// object choices are delegated; the decorator only answers
-/// `crash_requests` (injecting at most `f` crashes per run) and, when a
-/// restart model is attached, `recovery_requests` (restarting crashed
-/// processes at adversary-chosen later points).
+/// object choices are delegated (a `kCut` answer passes through); the
+/// decorator only answers `crash_requests` (injecting at most `f` crashes
+/// per run) and, when a restart model is attached, `recovery_requests`
+/// (restarting crashed processes at adversary-chosen later points).
 ///
 /// Two fault models:
 ///  * a targeted plan — `CrashPoint{victim, after_steps}` kills `victim`
@@ -223,6 +223,7 @@ class CrashAdversary final : public SchedulePolicy {
 /// Transparent decorator journaling every decision the inner policy makes.
 /// Attaching it never changes behaviour; `journal()` is the evidence. Used
 /// by the seed-determinism tests ("same seed => bit-identical decisions").
+/// A `kCut` answer is passed through and not journaled.
 class RecordingPolicy final : public SchedulePolicy {
  public:
   struct Event {

@@ -289,14 +289,22 @@ class Runtime {
     /// Total scheduler grants issued.
     std::int64_t total_steps = 0;
     /// True when every non-crashed process finished (none hung, none still
-    /// runnable at the step bound).
+    /// runnable at the step bound). False on a cut run.
     bool quiescent = false;
+    /// True when the policy cut the run (`SchedulePolicy::kCut`): the world
+    /// is partial — processes may still be running, mid-operation — and is
+    /// abandoned by whoever cut it. A body must not act on it (a check that
+    /// throws here reports nothing: the explorer drops it).
+    bool cut = false;
   };
 
-  /// Drives the world until no process is runnable or `max_steps` grants
-  /// have been issued. Throws `SimError` if the step bound is exceeded with
-  /// processes still runnable — for wait-free algorithms that indicates a
-  /// bug (or a genuinely blocking construction).
+  /// Drives the world until no process is runnable, `max_steps` grants
+  /// have been issued, or the policy answers `SchedulePolicy::kCut`. Throws
+  /// `SimError` if the step bound is exceeded with processes still runnable
+  /// — for wait-free algorithms that indicates a bug (or a genuinely
+  /// blocking construction). A cut run returns a partial result with `cut`
+  /// set and emits no `on_run_end`; its suspended fibers are kill-unwound
+  /// when the runtime is destroyed, as after any run.
   RunResult run(ScheduleDriver& driver, std::int64_t max_steps = 1'000'000);
 
   /// Crashes a process: it is never scheduled again (unless recovered). May
@@ -391,6 +399,11 @@ class Runtime {
   /// invokes the stepped body once (engine dispatch for priming + grants).
   void advance(Proc& proc);
 
+  /// `Context::choose`/`StepContext::choose` for `pid`: consults the
+  /// policy, folds and reports the choice. A `kCut` answer marks the run
+  /// cut, and the step it lands in finishes on option 0.
+  std::uint32_t choose(int pid, std::uint32_t arity);
+
   void check_pid(int pid) const;
   std::size_t collect_enabled(int* enabled, Access* footprints) const;
   int attach_proc(Proc* proc);
@@ -421,6 +434,7 @@ class Runtime {
   std::int64_t total_steps_ = 0;
   std::uint32_t next_object_id_ = 1;
   bool started_ = false;
+  bool cut_ = false;  ///< the policy answered kCut; no further grant
   int num_crashed_ = 0;
   /// Crash-event hooks (volatile objects). Empty in every crash-stop world,
   /// so pre-recovery crashes pay one empty-vector check.

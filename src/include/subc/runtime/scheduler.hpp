@@ -71,14 +71,22 @@ class SchedulePolicy {
  public:
   virtual ~SchedulePolicy() = default;
 
+  /// The one answer besides a valid option that `pick` and `choose` may
+  /// give: stop the run here. The kernel grants no further step (after a
+  /// `choose` it first finishes the current step with option 0) and
+  /// returns a partial `RunResult` with `cut` set. The explorer's driver
+  /// answers it for every subtree it abandons; forwarding policies pass it
+  /// through unchanged.
+  static constexpr std::uint32_t kCut = 0xFFFF'FFFFu;
+
   /// Returns an index into `enabled` (the pids currently able to step, in
-  /// increasing pid order). `footprints`, when non-empty, is index-aligned
-  /// with `enabled` and holds each pending step's access footprint; policies
-  /// that do not inspect footprints simply ignore it.
+  /// increasing pid order), or `kCut`. `footprints`, when non-empty, is
+  /// index-aligned with `enabled` and holds each pending step's access
+  /// footprint; policies that do not inspect footprints simply ignore it.
   virtual std::size_t pick(std::span<const int> enabled,
                            std::span<const Access> footprints = {}) = 0;
 
-  /// Returns a value in [0, arity). `arity >= 1`.
+  /// Returns a value in [0, arity), or `kCut`. `arity >= 1`.
   virtual std::uint32_t choose(std::uint32_t arity) = 0;
 
   /// Fault injection: consulted by the kernel once per decision point,
@@ -184,42 +192,15 @@ class ScriptedDriver final : public SchedulePolicy {
   std::size_t pos_ = 0;
 };
 
-/// Thrown by `ReplayDriver` when a fresh decision would exceed the
-/// configured decision limit (`set_decision_limit`). Used by the parallel
-/// explorer's frontier enumeration to cut executions at the partition depth.
-/// Deliberately not derived from `std::exception` (like `FiberKilled`) so
-/// that execution bodies catching `std::exception` cannot swallow it.
-struct FrontierCut {};
-
-/// Thrown by `ReplayDriver` when the prune hook rejects a freshly recorded
-/// decision: the whole subtree below the current partial decision string is
-/// abandoned. Not derived from `std::exception` for the same reason as
-/// `FrontierCut`.
-struct PruneCut {};
-
-/// Thrown by `ReplayDriver` when sleep-set partial-order reduction proves
-/// every continuation of the current partial execution equivalent to an
-/// already-explored one (every enabled process is asleep): the subtree is
-/// abandoned as redundant. Not derived from `std::exception` for the same
-/// reason as `FrontierCut`.
-struct SleepCut {};
-
 /// Thrown by `ReplayDriver` when the per-execution step-quota watchdog
 /// (`set_step_quota`) trips: the execution has consumed more scheduling
 /// decisions than any terminating schedule of the world should need, i.e.
 /// it is livelocked or runaway. The explorer converts it into a structured
-/// `StuckExecution` diagnostic instead of hanging. Not derived from
-/// `std::exception` for the same reason as `FrontierCut`.
+/// `StuckExecution` diagnostic instead of hanging. Unlike the driver's other
+/// cuts this one is a throw, so that a livelocked run cannot carry on past
+/// it; deliberately not derived from `std::exception` (like `FiberKilled`)
+/// so that execution bodies catching `std::exception` cannot swallow it.
 struct StuckCut {};
-
-/// Thrown by `ReplayDriver` in stateful mode when the kernel reports a
-/// world fingerprint whose (state, sleep-set) pair is already in the
-/// visited set: the subtree below the current partial execution reconverges
-/// with an already-explored one and is abandoned. Like `SleepCut` it proves
-/// redundancy rather than ending an execution, so the explorer counts it in
-/// `Result::stateful_cuts` and charges no execution budget. Not derived
-/// from `std::exception` for the same reason as `FrontierCut`.
-struct StatefulCut {};
 
 /// Replays a recorded decision prefix and extends it with first options;
 /// records the arity of every decision point. This is the explorer's
@@ -234,11 +215,29 @@ struct StatefulCut {};
 /// partial-order reduction over the access footprints the runtime supplies
 /// to `pick`: scheduling options whose process is asleep (its pending step
 /// provably commutes with an already-explored sibling branch) are skipped,
-/// and partial executions with every enabled process asleep throw `SleepCut`.
-/// The skip metadata (`Decision::enabled`, `Decision::sleep`) is recorded in
-/// the trace so the explorer's backtracking applies identical skips.
+/// and partial executions with every enabled process asleep are cut
+/// (`Cut::kSleep`). The skip metadata (`Decision::enabled`,
+/// `Decision::sleep`) is recorded in the trace so the explorer's
+/// backtracking applies identical skips.
+///
+/// Cuts are answers, not throws: the driver answers `kCut` at the decision
+/// point where it abandons the execution and records why in `cut()`. Once
+/// cut it stays cut for the rest of the execution, across `begin_run`: it
+/// answers `kCut` to every `pick`, 0 to `choose`, `crash_requests` and
+/// `recovery_requests`, and ignores `on_state_fp`. A cut raised outside
+/// `pick` (stateful probe, crash or recovery decision) therefore takes
+/// effect at the next `pick`.
 class ReplayDriver final : public SchedulePolicy {
  public:
+  /// Why the driver abandoned its execution.
+  enum class Cut : std::uint8_t {
+    kNone,      ///< not cut
+    kSleep,     ///< every enabled process asleep: a redundant subtree
+    kStateful,  ///< (state, sleep-set) pair already visited
+    kPrune,     ///< the prune hook rejected a fresh decision
+    kFrontier,  ///< a fresh decision would exceed the decision limit
+  };
+
   struct Decision {
     std::uint32_t chosen = 0;
     std::uint32_t arity = 1;
@@ -316,14 +315,14 @@ class ReplayDriver final : public SchedulePolicy {
     return std::move(trace_);
   }
 
-  /// Fresh decisions that would grow the trace beyond `limit` entries throw
-  /// `FrontierCut` instead of being recorded (replayed prefix entries are
-  /// unaffected). Default: no limit.
+  /// Fresh decisions that would grow the trace beyond `limit` entries cut
+  /// the execution (`Cut::kFrontier`) instead of being recorded (replayed
+  /// prefix entries are unaffected). Default: no limit.
   void set_decision_limit(std::size_t limit) noexcept { limit_ = limit; }
 
   /// Consults `prune` on every freshly recorded decision; a true return
-  /// throws `PruneCut`. The pointee must outlive the driver. Pass nullptr
-  /// (the default) to disable.
+  /// cuts the execution (`Cut::kPrune`). The pointee must outlive the
+  /// driver. Pass nullptr (the default) to disable.
   void set_prune(const PruneFn* prune) noexcept { prune_ = prune; }
 
   /// Enables sleep-set partial-order reduction for fresh scheduling
@@ -355,9 +354,10 @@ class ReplayDriver final : public SchedulePolicy {
   /// replayed prefix never probes — restart-DFS revisits its own prefix
   /// states once per sibling, and cutting those would cut the search's own
   /// backbone) the kernel-reported world fingerprint is keyed with the
-  /// current sleep set and checked against `set`; a hit throws
-  /// `StatefulCut`. The pointee must outlive the driver and may be shared
-  /// across threads. Pass nullptr (the default) to disable.
+  /// current sleep set and checked against `set`; a hit cuts the execution
+  /// (`Cut::kStateful`) at the next `pick`. The pointee must outlive the
+  /// driver and may be shared across threads. Pass nullptr (the default)
+  /// to disable.
   void set_stateful(detail::VisitedSet* set) noexcept { visited_ = set; }
 
   /// Scheduling options skipped by the reduction so far (each is a subtree
@@ -372,11 +372,20 @@ class ReplayDriver final : public SchedulePolicy {
     return recoveries_total_;
   }
 
+  /// Why the execution was abandoned; `Cut::kNone` while it runs on.
+  [[nodiscard]] Cut cut() const noexcept { return cut_; }
+
  private:
   std::uint32_t next_choice(std::uint32_t arity);
+  /// Records `why` and returns the answer that stops the run.
+  std::uint32_t raise_cut(Cut why) noexcept {
+    cut_ = why;
+    return kCut;
+  }
 
   std::vector<Decision> trace_;
   std::size_t pos_ = 0;
+  Cut cut_ = Cut::kNone;
   std::size_t limit_ = static_cast<std::size_t>(-1);
   const PruneFn* prune_ = nullptr;
   bool reduce_ = false;

@@ -146,8 +146,26 @@ class BudgetScope {
   bool holder_ = false;
 };
 
-// Tallies of one subtree work unit, merged in canonical order afterwards.
-struct SubtreeStats {
+// One entry of the canonical (serial-DFS-order) emission sequence, and what
+// one attempt to run the body amounted to: a completed execution (clean,
+// violating or stuck), or a subtree the driver cut — pruned, reduction-
+// skipped, stateful-cut, or a frontier work unit (a depth-d prefix whose
+// subtree a worker explores). Every event additionally carries the
+// reduction skips that occurred at (and, in the frontier enumeration, while
+// advancing past) it, so that tallies truncated at a winning violation stay
+// exact.
+struct EventMeta {
+  enum class Kind { kExecution, kPruned, kSkip, kStateful, kUnit };
+  Kind kind = Kind::kExecution;
+  std::int64_t reduced = 0;
+  bool crashed = false;    ///< kExecution: >= 1 crash landed in the execution
+  bool recovered = false;  ///< kExecution: >= 1 recovery landed
+  bool stuck = false;      ///< kExecution: cut by the step-quota watchdog
+};
+
+// The tallies every search reports, summed the same way wherever they meet:
+// per event, per work unit, per snapshot and per Result.
+struct Tally {
   std::int64_t executions = 0;
   std::int64_t pruned = 0;
   std::int64_t reduced = 0;
@@ -155,6 +173,79 @@ struct SubtreeStats {
   std::int64_t recovered = 0;  ///< executions in which >= 1 recovery landed
   std::int64_t stuck = 0;      ///< executions cut by the step-quota watchdog
   std::int64_t stateful = 0;   ///< subtrees cut by stateful exploration
+
+  Tally& operator+=(const Tally& o) {
+    executions += o.executions;
+    pruned += o.pruned;
+    reduced += o.reduced;
+    crashed += o.crashed;
+    recovered += o.recovered;
+    stuck += o.stuck;
+    stateful += o.stateful;
+    return *this;
+  }
+  friend Tally operator+(Tally a, const Tally& b) { return a += b; }
+
+  // Counts one event. A unit's own subtree is carried by its worker's
+  // SubtreeStats and added separately.
+  void add(const EventMeta& ev) {
+    reduced += ev.reduced;
+    switch (ev.kind) {
+      case EventMeta::Kind::kExecution:
+        ++executions;
+        crashed += ev.crashed ? 1 : 0;
+        recovered += ev.recovered ? 1 : 0;
+        stuck += ev.stuck ? 1 : 0;
+        break;
+      case EventMeta::Kind::kPruned:
+        ++pruned;
+        break;
+      case EventMeta::Kind::kStateful:
+        ++stateful;
+        break;
+      case EventMeta::Kind::kSkip:  // carried entirely in `reduced`
+      case EventMeta::Kind::kUnit:
+        break;
+    }
+  }
+};
+
+// The tallies of the public snapshot and Result types, read and written in
+// one place each.
+Tally tally_of(const ExplorerSnapshot& s) {
+  return {s.executions, s.pruned, s.reduced, s.crashed,
+          s.recovered, s.stuck, s.stateful_cuts};
+}
+
+Tally tally_of(const Explorer::Result& r) {
+  return {r.executions, r.pruned_subtrees, r.reduced_subtrees,
+          r.crashed_executions, r.recovered_executions, r.stuck_executions,
+          r.stateful_cuts};
+}
+
+void store(const Tally& t, ExplorerSnapshot& s) {
+  s.executions = t.executions;
+  s.pruned = t.pruned;
+  s.reduced = t.reduced;
+  s.crashed = t.crashed;
+  s.recovered = t.recovered;
+  s.stuck = t.stuck;
+  s.stateful_cuts = t.stateful;
+}
+
+void store(const Tally& t, Explorer::Result& r) {
+  r.executions = t.executions;
+  r.pruned_subtrees = t.pruned;
+  r.reduced_subtrees = t.reduced;
+  r.crashed_executions = t.crashed;
+  r.recovered_executions = t.recovered;
+  r.stuck_executions = t.stuck;
+  r.stateful_cuts = t.stateful;
+}
+
+// Tallies of one subtree work unit, merged in canonical order afterwards.
+struct SubtreeStats {
+  Tally tally;
   std::optional<std::string> violation;
   std::vector<Decision> trace;
   /// First (in DFS order, i.e. canonically least within the unit) stuck
@@ -185,13 +276,7 @@ ExplorerSnapshot snapshot_proto(const Explorer::Options& opts,
   s.reduction = opts.reduction == Reduction::kSleepSets;
   s.stateful = opts.stateful;
   if (base != nullptr) {
-    s.executions = base->executions;
-    s.pruned = base->pruned;
-    s.reduced = base->reduced;
-    s.crashed = base->crashed;
-    s.recovered = base->recovered;
-    s.stuck = base->stuck;
-    s.stateful_cuts = base->stateful_cuts;
+    store(tally_of(*base), s);
     s.stuck_message = base->stuck_message;
     s.stuck_trace = base->stuck_trace;
   }
@@ -260,6 +345,96 @@ bool advance(std::vector<Decision>& trace, std::size_t floor,
   return false;
 }
 
+// run_one, told which ReplayDriver decides the run (nullptr: none). A body
+// that throws after that driver cut its run was checking a partial world:
+// no violation, and no on_violation event.
+std::optional<std::string> run_driven(const ExecutionBody& body,
+                                      SchedulePolicy& policy,
+                                      TraceObserver* observer,
+                                      const ReplayDriver* driver) {
+  // Thread-default installation is what lets the observer see runtimes the
+  // body constructs internally; nullptr deliberately masks any outer scope
+  // so unobserved searches stay unobserved.
+  const ScopedObserver scope(observer);
+  try {
+    body(policy);
+  } catch (const std::exception& e) {
+    if (driver != nullptr && driver->cut() != ReplayDriver::Cut::kNone) {
+      return std::nullopt;
+    }
+    if (observer != nullptr) {
+      observer->on_violation(e.what());
+    }
+    return std::string(e.what());
+  }
+  return std::nullopt;
+}
+
+// The driver of one explorer execution, configured from the search options
+// (the frontier enumeration adds its decision limit).
+ReplayDriver make_driver(std::vector<Decision> prefix,
+                         const Explorer::Options& opts,
+                         const SearchState& state) {
+  ReplayDriver driver(std::move(prefix));
+  driver.set_prune(opts.prune ? &opts.prune : nullptr);
+  driver.set_reduction(opts.reduction == Reduction::kSleepSets);
+  driver.set_max_crashes(opts.max_crashes);
+  driver.set_max_recoveries(opts.max_recoveries);
+  driver.set_step_quota(opts.step_quota);
+  driver.set_stateful(state.visited.get());
+  return driver;
+}
+
+// What one run of the body under the explorer's driver amounted to.
+struct Attempt {
+  EventMeta event;
+  std::optional<std::string> violation;
+};
+
+// Runs the body once and classifies the run by the driver's cut, the
+// violation and the watchdog. Cuts are probes, not executions: only
+// kExecution events consume budget. A stuck run did real work, so it counts
+// as a (stuck) execution; its unexplored continuations are truncated.
+Attempt attempt(const ExecutionBody& body, ReplayDriver& driver,
+                const Explorer::Options& opts) {
+  Attempt out;
+  EventMeta& ev = out.event;
+  try {
+    out.violation = run_driven(body, driver, opts.observer, &driver);
+  } catch (const StuckCut&) {
+    ev.stuck = true;
+    if (opts.observer != nullptr) {
+      opts.observer->on_stuck(stuck_message_for(opts.step_quota));
+    }
+  }
+  ev.reduced = driver.reduced();
+  switch (driver.cut()) {
+    case ReplayDriver::Cut::kNone:
+      ev.crashed = driver.crashes() > 0;
+      ev.recovered = driver.recoveries() > 0;
+      break;
+    case ReplayDriver::Cut::kSleep:
+      ev.kind = EventMeta::Kind::kSkip;  // a redundant subtree
+      break;
+    case ReplayDriver::Cut::kStateful:
+      // The (state, sleep-set) pair at this decision point was already
+      // explored: the subtree below is behaviour-identical to one already
+      // searched (above the frontier: the whole subtree, units included).
+      ev.kind = EventMeta::Kind::kStateful;
+      if (opts.observer != nullptr) {
+        opts.observer->on_stateful_cut(1);
+      }
+      break;
+    case ReplayDriver::Cut::kPrune:
+      ev.kind = EventMeta::Kind::kPruned;
+      break;
+    case ReplayDriver::Cut::kFrontier:
+      ev.kind = EventMeta::Kind::kUnit;  // its worker re-runs it and pays
+      break;
+  }
+  return out;
+}
+
 // Restart-DFS over the subtree rooted at `prefix` (decisions below `floor`
 // are fixed). Stops at the subtree's first violation — the lexicographically
 // least one, since DFS visits decision strings in lexicographic order — on
@@ -273,8 +448,8 @@ SubtreeStats explore_subtree(const ExecutionBody& body,
                              std::uint64_t my_index,
                              SerialCheckpoint* cp = nullptr) {
   SubtreeStats stats;
+  Tally& tally = stats.tally;
   BudgetScope budget(state);
-  const Explorer::PruneFn& prune = opts.prune;
   for (;;) {
     if (state.log.best_index() < my_index) {
       return stats;  // cancelled; these tallies will be discarded
@@ -282,98 +457,38 @@ SubtreeStats explore_subtree(const ExecutionBody& body,
     if (!budget.ensure()) {
       return stats;  // budget finally exhausted (`finished` stays false)
     }
-    const std::int64_t reduced_before = stats.reduced;
-    ReplayDriver driver(std::move(prefix));
-    driver.set_prune(prune ? &prune : nullptr);
-    driver.set_reduction(opts.reduction == Reduction::kSleepSets);
-    driver.set_max_crashes(opts.max_crashes);
-    driver.set_max_recoveries(opts.max_recoveries);
-    driver.set_step_quota(opts.step_quota);
-    driver.set_stateful(state.visited.get());
-    bool stuck_now = false;
-    try {
-      if (std::optional<std::string> violation =
-              run_one(body, driver, opts.observer)) {
-        ++stats.executions;
-        budget.consume();
-        if (driver.crashes() > 0) {
-          ++stats.crashed;
-        }
-        if (driver.recoveries() > 0) {
-          ++stats.recovered;
-        }
-        stats.violation = std::move(violation);
-        stats.reduced += driver.reduced();
-        stats.trace = driver.take_trace();
-        stats.finished = true;
-        return stats;
-      }
-      ++stats.executions;
+    const std::int64_t reduced_before = tally.reduced;
+    ReplayDriver driver = make_driver(std::move(prefix), opts, state);
+    Attempt run = attempt(body, driver, opts);
+    tally.add(run.event);
+    if (run.event.kind == EventMeta::Kind::kExecution) {
       budget.consume();
-      if (driver.crashes() > 0) {
-        ++stats.crashed;
-      }
-      if (driver.recoveries() > 0) {
-        ++stats.recovered;
-      }
-    } catch (const PruneCut&) {
-      ++stats.pruned;  // cut probes consume no budget
-    } catch (const SleepCut&) {
-      // Redundant subtree, not an execution — consumes no budget.
-    } catch (const StatefulCut&) {
-      // The (state, sleep-set) pair at this decision point was already
-      // explored: the subtree below is behaviour-identical to one already
-      // searched. Like a reduction skip, consumes no budget.
-      ++stats.stateful;
-      if (opts.observer != nullptr) {
-        opts.observer->on_stateful_cut(1);
-      }
-    } catch (const StuckCut&) {
-      // Step quota tripped: the run did real work, so it counts as a
-      // (stuck) execution and consumes budget; its unexplored continuations
-      // are truncated — advance() below moves to the cut's siblings.
-      ++stats.executions;
-      budget.consume();
-      ++stats.stuck;
-      if (driver.crashes() > 0) {
-        ++stats.crashed;
-      }
-      if (driver.recoveries() > 0) {
-        ++stats.recovered;
-      }
-      stuck_now = true;
     }
-    stats.reduced += driver.reduced();
     std::vector<Decision> trace = driver.take_trace();
-    if (stuck_now) {
-      if (opts.observer != nullptr) {
-        opts.observer->on_stuck(stuck_message_for(opts.step_quota));
-      }
-      if (!stats.stuck_message) {
-        stats.stuck_message = stuck_message_for(opts.step_quota);
-        stats.stuck_trace = trace;  // copy: advance() mutates `trace` next
-      }
+    if (run.violation) {
+      stats.violation = std::move(run.violation);
+      stats.trace = std::move(trace);
+      stats.finished = true;
+      return stats;
+    }
+    if (run.event.stuck && !stats.stuck_message) {
+      stats.stuck_message = stuck_message_for(opts.step_quota);
+      stats.stuck_trace = trace;  // copy: advance() mutates `trace` next
     }
     const bool more =
-        advance(trace, floor, prune, stats.pruned, stats.reduced);
-    if (opts.observer != nullptr && stats.reduced > reduced_before) {
-      opts.observer->on_reduced(stats.reduced - reduced_before);
+        advance(trace, floor, opts.prune, tally.pruned, tally.reduced);
+    if (opts.observer != nullptr && tally.reduced > reduced_before) {
+      opts.observer->on_reduced(tally.reduced - reduced_before);
     }
     if (!more) {
       stats.finished = true;
       return stats;
     }
     prefix = std::move(trace);
-    if (cp != nullptr && stats.executions - cp->last >= cp->every) {
-      cp->last = stats.executions;
+    if (cp != nullptr && tally.executions - cp->last >= cp->every) {
+      cp->last = tally.executions;
       ExplorerSnapshot s = *cp->proto;
-      s.executions += stats.executions;
-      s.pruned += stats.pruned;
-      s.reduced += stats.reduced;
-      s.crashed += stats.crashed;
-      s.recovered += stats.recovered;
-      s.stuck += stats.stuck;
-      s.stateful_cuts += stats.stateful;
+      store(tally_of(s) + tally, s);
       if (!s.stuck_message && stats.stuck_message) {
         s.stuck_message = stats.stuck_message;
         s.stuck_trace = stats.stuck_trace;
@@ -391,21 +506,6 @@ SubtreeStats explore_subtree(const ExecutionBody& body,
     }
   }
 }
-
-// One entry of the canonical (serial-DFS-order) emission sequence produced
-// by frontier enumeration: a completed shallow execution, a pruned or
-// reduction-skipped subtree, or a frontier work unit (a depth-d prefix whose
-// subtree a worker explores). Every event additionally carries the
-// reduction skips that occurred at (and while advancing past) it, so that
-// tallies truncated at a winning violation stay exact.
-struct EventMeta {
-  enum class Kind { kExecution, kPruned, kSkip, kStateful, kUnit };
-  Kind kind = Kind::kExecution;
-  std::int64_t reduced = 0;
-  bool crashed = false;    ///< kExecution: >= 1 crash landed in the execution
-  bool recovered = false;  ///< kExecution: >= 1 recovery landed
-  bool stuck = false;      ///< kExecution: cut by the step-quota watchdog
-};
 
 // One frontier work unit: stats filled by whichever thread explores it, the
 // prefix retained by the producer so checkpoints can name the watermark
@@ -440,13 +540,7 @@ std::size_t auto_frontier_depth(int threads) {
 
 Explorer::Result finish_serial(SubtreeStats stats) {
   Explorer::Result result;
-  result.executions = stats.executions;
-  result.pruned_subtrees = stats.pruned;
-  result.reduced_subtrees = stats.reduced;
-  result.crashed_executions = stats.crashed;
-  result.recovered_executions = stats.recovered;
-  result.stuck_executions = stats.stuck;
-  result.stateful_cuts = stats.stateful;
+  store(stats.tally, result);
   if (stats.stuck_message) {
     result.first_stuck = StuckExecution{std::move(*stats.stuck_message),
                                         std::move(stats.stuck_trace)};
@@ -552,53 +646,24 @@ Explorer::Result explore_parallel(const ExecutionBody& body,
   const auto write_parallel_snapshot =
       [&](const std::vector<Decision>& producer_next) {
         ExplorerSnapshot s = proto;
+        Tally progress = tally_of(s);
         std::size_t u = 0;
         const std::vector<Decision>* next = nullptr;
         std::size_t watermark = events.size();
         for (std::size_t i = 0; i < events.size(); ++i) {
           const EventMeta& ev = events[i];
           if (ev.kind == EventMeta::Kind::kUnit) {
-            UnitRecord& rec = unit_records[u];
+            UnitRecord& rec = unit_records[u++];
             if (!rec.done.load(std::memory_order_acquire)) {
               next = &rec.prefix;
               watermark = i;
               break;
             }
-            s.reduced += ev.reduced;  // shallow skips at the unit's probe
-            s.executions += rec.stats.executions;
-            s.pruned += rec.stats.pruned;
-            s.reduced += rec.stats.reduced;
-            s.crashed += rec.stats.crashed;
-            s.recovered += rec.stats.recovered;
-            s.stuck += rec.stats.stuck;
-            s.stateful_cuts += rec.stats.stateful;
-            ++u;
-            continue;
+            progress += rec.stats.tally;
           }
-          s.reduced += ev.reduced;
-          switch (ev.kind) {
-            case EventMeta::Kind::kExecution:
-              ++s.executions;
-              if (ev.crashed) {
-                ++s.crashed;
-              }
-              if (ev.recovered) {
-                ++s.recovered;
-              }
-              if (ev.stuck) {
-                ++s.stuck;
-              }
-              break;
-            case EventMeta::Kind::kPruned:
-              ++s.pruned;
-              break;
-            case EventMeta::Kind::kStateful:
-              ++s.stateful_cuts;
-              break;
-            default:
-              break;  // kSkip: carried entirely in `reduced`
-          }
+          progress.add(ev);
         }
+        store(progress, s);
         if (!s.stuck_message) {
           if (const std::optional<ViolationLog::Entry> sw =
                   state.stuck_log.winner();
@@ -620,7 +685,6 @@ Explorer::Result explore_parallel(const ExecutionBody& body,
   // Producer: serial-DFS frontier enumeration, streaming units out.
   {
     BudgetScope budget(state);
-    const Explorer::PruneFn& prune = opts.prune;
     std::vector<Decision> prefix = std::move(initial_prefix);
     std::vector<WorkItem> spilled;  // overflow units, re-injected at the end
     std::ofstream spill_out;        // journal of spilled prefixes
@@ -632,68 +696,28 @@ Explorer::Result explore_parallel(const ExecutionBody& body,
       if (!budget.ensure()) {
         break;  // budget finally exhausted mid-frontier
       }
-      ReplayDriver driver(std::move(prefix));
+      ReplayDriver driver = make_driver(std::move(prefix), opts, state);
       driver.set_decision_limit(depth);
-      driver.set_prune(prune ? &prune : nullptr);
-      driver.set_reduction(opts.reduction == Reduction::kSleepSets);
-      driver.set_max_crashes(opts.max_crashes);
-      driver.set_max_recoveries(opts.max_recoveries);
-      driver.set_step_quota(opts.step_quota);
-      driver.set_stateful(state.visited.get());
-      EventMeta ev;
-      bool is_unit = false;
-      bool stuck_now = false;
-      try {
-        if (std::optional<std::string> violation =
-                run_one(body, driver, opts.observer)) {
-          // A violating shallow execution beats everything that would have
-          // followed; report it and stop enumerating.
-          budget.consume();
-          ev.reduced = driver.reduced();
-          ev.crashed = driver.crashes() > 0;
-          ev.recovered = driver.recoveries() > 0;
-          events.push_back(ev);
-          state.log.report(events.size() - 1, *violation,
-                           driver.take_trace());
-          break;
-        }
+      Attempt run = attempt(body, driver, opts);
+      const EventMeta ev = run.event;
+      if (ev.kind == EventMeta::Kind::kExecution) {
         budget.consume();
-        ev.crashed = driver.crashes() > 0;
-        ev.recovered = driver.recoveries() > 0;
-      } catch (const FrontierCut&) {
-        is_unit = true;  // the unit's worker re-runs this subtree and pays
-        ev.kind = EventMeta::Kind::kUnit;
-      } catch (const PruneCut&) {
-        ev.kind = EventMeta::Kind::kPruned;
-      } catch (const SleepCut&) {
-        ev.kind = EventMeta::Kind::kSkip;
-      } catch (const StatefulCut&) {
-        // Already-visited (state, sleep-set) pair above the frontier: the
-        // whole subtree (units included) is redundant. No budget consumed.
-        ev.kind = EventMeta::Kind::kStateful;
-        if (opts.observer != nullptr) {
-          opts.observer->on_stateful_cut(1);
-        }
-      } catch (const StuckCut&) {
-        // A shallow execution can trip the quota too (quota < frontier
-        // depth's worth of picks); same accounting as in explore_subtree.
-        budget.consume();
-        ev.crashed = driver.crashes() > 0;
-        ev.recovered = driver.recoveries() > 0;
-        ev.stuck = true;
-        stuck_now = true;
       }
       std::vector<Decision> trace = driver.take_trace();
-      ev.reduced = driver.reduced();
       events.push_back(ev);
-      if (stuck_now) {
+      if (run.violation) {
+        // A violating shallow execution beats everything that would have
+        // followed; report it and stop enumerating.
+        state.log.report(events.size() - 1, *run.violation, std::move(trace));
+        break;
+      }
+      if (ev.stuck) {
+        // A shallow execution can trip the quota too (quota < frontier
+        // depth's worth of picks).
         state.stuck_log.report(events.size() - 1,
                                stuck_message_for(opts.step_quota), trace);
-        if (opts.observer != nullptr) {
-          opts.observer->on_stuck(stuck_message_for(opts.step_quota));
-        }
       }
-      if (is_unit) {
+      if (ev.kind == EventMeta::Kind::kUnit) {
         unit_records.emplace_back();
         UnitRecord& rec = unit_records.back();
         rec.prefix = trace;
@@ -741,7 +765,7 @@ Explorer::Result explore_parallel(const ExecutionBody& body,
       std::int64_t advance_prunes = 0;
       std::int64_t advance_reduced = 0;
       const bool more =
-          advance(trace, 0, prune, advance_prunes, advance_reduced);
+          advance(trace, 0, opts.prune, advance_prunes, advance_reduced);
       // Subtrees pruned or reduction-skipped while advancing sit between
       // this event and the next in canonical order (in particular *after* a
       // unit's whole subtree); record them separately so truncated tallies
@@ -806,43 +830,17 @@ Explorer::Result explore_parallel(const ExecutionBody& body,
   const std::optional<ViolationLog::Entry> win = state.log.winner();
   const std::uint64_t winner_index = win ? win->index : ViolationLog::kNone;
   bool all_finished = producer_finished_tree;
+  Tally total;
   std::size_t u = 0;
   for (std::size_t i = 0; i < events.size() && i <= winner_index; ++i) {
-    result.reduced_subtrees += events[i].reduced;
-    switch (events[i].kind) {
-      case EventMeta::Kind::kExecution:
-        ++result.executions;
-        if (events[i].crashed) {
-          ++result.crashed_executions;
-        }
-        if (events[i].recovered) {
-          ++result.recovered_executions;
-        }
-        if (events[i].stuck) {
-          ++result.stuck_executions;
-        }
-        break;
-      case EventMeta::Kind::kPruned:
-        ++result.pruned_subtrees;
-        break;
-      case EventMeta::Kind::kSkip:
-        break;  // reduction skips carried in the `reduced` field above
-      case EventMeta::Kind::kStateful:
-        ++result.stateful_cuts;
-        break;
-      case EventMeta::Kind::kUnit:
-        result.executions += unit_records[u].stats.executions;
-        result.pruned_subtrees += unit_records[u].stats.pruned;
-        result.reduced_subtrees += unit_records[u].stats.reduced;
-        result.crashed_executions += unit_records[u].stats.crashed;
-        result.recovered_executions += unit_records[u].stats.recovered;
-        result.stuck_executions += unit_records[u].stats.stuck;
-        result.stateful_cuts += unit_records[u].stats.stateful;
-        all_finished = all_finished && unit_records[u].stats.finished;
-        ++u;
-        break;
+    if (events[i].kind == EventMeta::Kind::kUnit) {
+      total += unit_records[u].stats.tally;
+      all_finished = all_finished && unit_records[u].stats.finished;
+      ++u;
     }
+    total.add(events[i]);
   }
+  store(total, result);
   if (state.visited != nullptr) {
     result.stateful_states =
         static_cast<std::int64_t>(state.visited->size());
@@ -869,13 +867,7 @@ Explorer::Result explore_parallel(const ExecutionBody& body,
 
 Explorer::Result result_from_snapshot(const ExplorerSnapshot& s) {
   Explorer::Result r;
-  r.executions = s.executions;
-  r.pruned_subtrees = s.pruned;
-  r.reduced_subtrees = s.reduced;
-  r.crashed_executions = s.crashed;
-  r.recovered_executions = s.recovered;
-  r.stuck_executions = s.stuck;
-  r.stateful_cuts = s.stateful_cuts;
+  store(tally_of(s), r);
   r.complete = s.complete;
   if (s.violation) {
     r.violation = s.violation;
@@ -890,13 +882,7 @@ Explorer::Result result_from_snapshot(const ExplorerSnapshot& s) {
 ExplorerSnapshot snapshot_of_result(const Explorer::Options& opts,
                                     const Explorer::Result& r) {
   ExplorerSnapshot s = snapshot_proto(opts, nullptr);
-  s.executions = r.executions;
-  s.pruned = r.pruned_subtrees;
-  s.reduced = r.reduced_subtrees;
-  s.crashed = r.crashed_executions;
-  s.recovered = r.recovered_executions;
-  s.stuck = r.stuck_executions;
-  s.stateful_cuts = r.stateful_cuts;
+  store(tally_of(r), s);
   s.done = true;
   s.complete = r.complete;
   if (r.violation) {
@@ -993,13 +979,7 @@ Explorer::Result explore_impl(const ExecutionBody& body,
   }
   // Fold the resumed-from watermark back in. The base's stuck winner, when
   // present, canonically precedes anything found after the watermark.
-  result.executions += proto.executions;
-  result.pruned_subtrees += proto.pruned;
-  result.reduced_subtrees += proto.reduced;
-  result.crashed_executions += proto.crashed;
-  result.recovered_executions += proto.recovered;
-  result.stuck_executions += proto.stuck;
-  result.stateful_cuts += proto.stateful_cuts;
+  store(tally_of(result) + tally_of(proto), result);
   if (proto.stuck_message) {
     result.first_stuck =
         StuckExecution{*proto.stuck_message, proto.stuck_trace};
@@ -1059,19 +1039,7 @@ ShrinkProbe probe(const ExecutionBody& body, std::vector<Decision> prefix) {
 std::optional<std::string> run_one(const ExecutionBody& body,
                                    SchedulePolicy& policy,
                                    TraceObserver* observer) {
-  // Thread-default installation is what lets the observer see runtimes the
-  // body constructs internally; nullptr deliberately masks any outer scope
-  // so unobserved searches stay unobserved.
-  const ScopedObserver scope(observer);
-  try {
-    body(policy);
-  } catch (const std::exception& e) {
-    if (observer != nullptr) {
-      observer->on_violation(e.what());
-    }
-    return std::string(e.what());
-  }
-  return std::nullopt;
+  return run_driven(body, policy, observer, nullptr);
 }
 
 std::vector<ReplayDriver::Decision> Explorer::shrink(

@@ -250,6 +250,9 @@ void CrashAdversary::begin_run() {
 std::size_t CrashAdversary::pick(std::span<const int> enabled,
                                  std::span<const Access> footprints) {
   const std::size_t idx = inner_->pick(enabled, footprints);
+  if (idx == kCut) {
+    return idx;  // nothing granted, nothing to count
+  }
   const auto pid = static_cast<std::size_t>(enabled[idx]);
   if (grants_.size() <= pid) {
     grants_.resize(pid + 1, 0);
@@ -347,6 +350,9 @@ std::uint64_t CrashAdversary::recovery_requests(std::span<const int> crashed) {
 std::size_t RecordingPolicy::pick(std::span<const int> enabled,
                                   std::span<const Access> footprints) {
   const std::size_t idx = inner_->pick(enabled, footprints);
+  if (idx == kCut) {
+    return idx;  // a cut is no decision: passed through, not journaled
+  }
   journal_.push_back({Event::Kind::kGrant, enabled[idx],
                       static_cast<std::int64_t>(enabled.size())});
   return idx;
@@ -354,7 +360,9 @@ std::size_t RecordingPolicy::pick(std::span<const int> enabled,
 
 std::uint32_t RecordingPolicy::choose(std::uint32_t arity) {
   const std::uint32_t c = inner_->choose(arity);
-  journal_.push_back({Event::Kind::kChoose, c, arity});
+  if (c != kCut) {
+    journal_.push_back({Event::Kind::kChoose, c, arity});
+  }
   return c;
 }
 

@@ -298,12 +298,13 @@ Runtime::RunResult Runtime::run(ScheduleDriver& driver,
     }
   }
 
-  RunResult result;
   int* enabled_buf = arena_->allocate_array<int>(num_procs_);
   Access* footprints_buf = arena_->allocate_array<Access>(num_procs_);
   int* crashed_buf =
       recovery_on ? arena_->allocate_array<int>(num_procs_) : nullptr;
-  while (true) {
+  // A `choose` answering kCut marks the run cut mid-step; the step finishes
+  // and the loop ends before the next decision point.
+  while (!cut_) {
     const std::size_t num_enabled =
         collect_enabled(enabled_buf, footprints_buf);
     const std::span<const int> enabled(enabled_buf, num_enabled);
@@ -324,7 +325,7 @@ Runtime::RunResult Runtime::run(ScheduleDriver& driver,
     // point, *before* the crash branch point — a visited-set cut then skips
     // the whole crash branching below this state too, which is sound
     // because equal fingerprints imply equal crash folds and hence equal
-    // remaining crash budget. A StatefulCut thrown here unwinds the run.
+    // remaining crash budget. A cut raised here lands at the pick below.
     if (fp_on_) {
       driver.on_state_fp(fp_world_, fp_valid_);
     }
@@ -376,6 +377,10 @@ Runtime::RunResult Runtime::run(ScheduleDriver& driver,
       }
     }
     const std::size_t idx = driver.pick(enabled, footprints);
+    if (idx == SchedulePolicy::kCut) {
+      cut_ = true;
+      break;
+    }
     SUBC_ASSERT(idx < enabled.size());
     const int pid = enabled[idx];
     Proc& proc = *procs_[pid];
@@ -405,14 +410,15 @@ Runtime::RunResult Runtime::run(ScheduleDriver& driver,
       advance(proc);
     }
   }
-  if (fp_on_) {
+  if (fp_on_ && !cut_) {
     driver.on_run_fp(fp_world_, fp_valid_);
   }
   driver_ = nullptr;
 
+  RunResult result;
   result.decisions = decisions_;
   result.states.reserve(num_procs_);
-  result.quiescent = true;
+  result.quiescent = !cut_;
   for (std::size_t i = 0; i < num_procs_; ++i) {
     result.states.push_back(procs_[i]->state);
     if (procs_[i]->state == ProcState::kHung) {
@@ -420,6 +426,10 @@ Runtime::RunResult Runtime::run(ScheduleDriver& driver,
     }
   }
   result.total_steps = total_steps_;
+  result.cut = cut_;
+  if (cut_) {
+    return result;  // a partial world: the run did not end, it was stopped
+  }
   if (observer_ != nullptr) {
     observer_->on_run_end(result.total_steps, result.quiescent);
   }
@@ -555,23 +565,36 @@ void Context::sched_point(const ObjectId& obj, AccessKind kind) {
   Fiber::yield();
 }
 
-std::uint32_t Context::choose(std::uint32_t arity) {
-  if (runtime_->driver_ == nullptr) {
+std::uint32_t Runtime::choose(int pid, std::uint32_t arity) {
+  if (driver_ == nullptr) {
     throw SimError("choose() outside run()");
   }
-  const std::uint32_t c = runtime_->driver_->choose(arity);
+  // The step a cut landed in runs to its end on option 0 without consulting
+  // the policy again; nothing of it is reported as a choice.
+  if (cut_) {
+    return 0;
+  }
+  const std::uint32_t c = driver_->choose(arity);
+  if (c == SchedulePolicy::kCut) {
+    cut_ = true;
+    return 0;
+  }
   SUBC_ASSERT(c < arity);
   // The chosen value is process-visible nondeterminism: fold it so worlds
   // whose processes observed different choices cannot alias. A choose alone
   // does not count as a fingerprint report — the operation around it may
   // still mutate unported state.
-  if (runtime_->fp_on_) {
-    runtime_->fp_fold(pid_, detail::mix64(detail::kFpChooseSalt ^ c));
+  if (fp_on_) {
+    fp_fold(pid, detail::mix64(detail::kFpChooseSalt ^ c));
   }
-  if (runtime_->observer_ != nullptr) {
-    runtime_->observer_->on_choose(pid_, arity, c);
+  if (observer_ != nullptr) {
+    observer_->on_choose(pid, arity, c);
   }
   return c;
+}
+
+std::uint32_t Context::choose(std::uint32_t arity) {
+  return runtime_->choose(pid_, arity);
 }
 
 void Context::decide(Value v) {
@@ -676,18 +699,7 @@ bool StepContext::hung() const noexcept {
 }
 
 std::uint32_t StepContext::choose(std::uint32_t arity) {
-  if (runtime_->driver_ == nullptr) {
-    throw SimError("choose() outside run()");
-  }
-  const std::uint32_t c = runtime_->driver_->choose(arity);
-  SUBC_ASSERT(c < arity);
-  if (runtime_->fp_on_) {
-    runtime_->fp_fold(pid_, detail::mix64(detail::kFpChooseSalt ^ c));
-  }
-  if (runtime_->observer_ != nullptr) {
-    runtime_->observer_->on_choose(pid_, arity, c);
-  }
-  return c;
+  return runtime_->choose(pid_, arity);
 }
 
 void StepContext::decide(Value v) {

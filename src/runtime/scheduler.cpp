@@ -74,6 +74,9 @@ std::uint32_t ScriptedDriver::choose(std::uint32_t arity) {
 
 std::size_t ReplayDriver::pick(std::span<const int> enabled,
                                std::span<const Access> footprints) {
+  if (cut_ != Cut::kNone) {
+    return kCut;  // a cut execution is granted no further step
+  }
   if (enabled.empty()) {
     throw SimError("ReplayDriver::pick: empty enabled set");
   }
@@ -105,7 +108,7 @@ std::size_t ReplayDriver::pick(std::span<const int> enabled,
     // already covered by the sibling branch that put it to sleep.
     if (mask != 0 && (sleep_ >> enabled[0] & 1) != 0) {
       ++reduced_;
-      throw SleepCut{};
+      return raise_cut(Cut::kSleep);
     }
   } else if (pos_ < trace_.size()) {
     const Decision& d = trace_[pos_++];
@@ -119,7 +122,7 @@ std::size_t ReplayDriver::pick(std::span<const int> enabled,
     chosen = d.chosen;
   } else {
     if (trace_.size() >= limit_) {
-      throw FrontierCut{};
+      return raise_cut(Cut::kFrontier);
     }
     if (mask != 0) {
       // Sleep-set skip: the least option whose process is awake. Each
@@ -130,13 +133,13 @@ std::size_t ReplayDriver::pick(std::span<const int> enabled,
         ++chosen;
       }
       if (chosen == arity) {
-        throw SleepCut{};
+        return raise_cut(Cut::kSleep);
       }
     }
     trace_.push_back(Decision{chosen, arity, mask, sleep_});
     ++pos_;
     if (prune_ != nullptr && *prune_ && (*prune_)(trace_)) {
-      throw PruneCut{};
+      return raise_cut(Cut::kPrune);
     }
   }
 
@@ -174,6 +177,9 @@ std::uint64_t ReplayDriver::crash_requests(std::span<const int> enabled) {
   // after each granted crash, so multi-crash sets build up one decision at a
   // time; `crash_floor_` canonicalizes that chain to increasing pid order
   // (crashes at the same point commute, so other orders are duplicates).
+  if (cut_ != Cut::kNone) {
+    return 0;
+  }
   const bool replaying = pos_ < trace_.size();
   if (replaying && !trace_[pos_].crash) {
     // The recorded execution made no crash decision here (e.g. its budget
@@ -206,7 +212,8 @@ std::uint64_t ReplayDriver::crash_requests(std::span<const int> enabled) {
     chosen = d.chosen;
   } else {
     if (trace_.size() >= limit_) {
-      throw FrontierCut{};
+      raise_cut(Cut::kFrontier);
+      return 0;  // the cut lands at the next pick
     }
     // Fresh branch starts at "no crash"; advance() later bumps through the
     // victims. Enabled/sleep masks stay 0: sleep-set reduction never skips a
@@ -215,7 +222,7 @@ std::uint64_t ReplayDriver::crash_requests(std::span<const int> enabled) {
     trace_.push_back(Decision{chosen, arity, 0, 0, /*crash=*/true});
     ++pos_;
     if (prune_ != nullptr && *prune_ && (*prune_)(trace_)) {
-      throw PruneCut{};
+      raise_cut(Cut::kPrune);  // lands at the next pick; chosen is "no crash"
     }
   }
   if (chosen == 0) {
@@ -240,6 +247,9 @@ std::uint64_t ReplayDriver::recovery_requests(std::span<const int> crashed) {
   // granted restart, so multi-restart sets build up one decision at a time;
   // `recovery_floor_` canonicalizes the chain to increasing pid order
   // (restarts at the same point commute).
+  if (cut_ != Cut::kNone) {
+    return 0;
+  }
   const bool replaying = pos_ < trace_.size();
   if (replaying && !trace_[pos_].recover) {
     return 0;
@@ -271,7 +281,8 @@ std::uint64_t ReplayDriver::recovery_requests(std::span<const int> crashed) {
     chosen = d.chosen;
   } else {
     if (trace_.size() >= limit_) {
-      throw FrontierCut{};
+      raise_cut(Cut::kFrontier);
+      return 0;  // the cut lands at the next pick
     }
     // Fresh branch starts at "no restart"; advance() later bumps through
     // the candidates. Enabled/sleep masks stay 0: a recovery is a write on
@@ -281,7 +292,7 @@ std::uint64_t ReplayDriver::recovery_requests(std::span<const int> crashed) {
         Decision{chosen, arity, 0, 0, /*crash=*/false, /*recover=*/true});
     ++pos_;
     if (prune_ != nullptr && *prune_ && (*prune_)(trace_)) {
-      throw PruneCut{};
+      raise_cut(Cut::kPrune);  // lands at the next pick; chosen is "no restart"
     }
   }
   if (chosen == 0) {
@@ -304,7 +315,7 @@ void ReplayDriver::on_state_fp(std::uint64_t fp, bool valid) {
   // on its way down, and cutting there would cut the restart-DFS's own
   // backbone. (`pos_` does not advance across forced decisions, so forced
   // points inside the prefix correctly count as replayed.)
-  if (visited_ == nullptr || pos_ < trace_.size()) {
+  if (visited_ == nullptr || cut_ != Cut::kNone || pos_ < trace_.size()) {
     return;
   }
   if (!valid || !base_fp_valid_) {
@@ -316,7 +327,9 @@ void ReplayDriver::on_state_fp(std::uint64_t fp, bool valid) {
   const std::uint64_t key = detail::mix64(
       (base_fp_ ^ fp) ^ detail::mix64(sleep_ ^ detail::kFpSleepSalt));
   if (visited_->check_and_insert(key)) {
-    throw StatefulCut{};
+    // Lands at this decision point's pick: the recovery and crash hooks the
+    // kernel consults in between answer "none" once the driver is cut.
+    raise_cut(Cut::kStateful);
   }
 }
 
@@ -331,6 +344,9 @@ void ReplayDriver::on_run_fp(std::uint64_t fp, bool valid) {
 std::uint32_t ReplayDriver::choose(std::uint32_t arity) {
   if (arity == 0) {
     throw SimError("ReplayDriver::choose: arity must be >= 1");
+  }
+  if (cut_ != Cut::kNone) {
+    return 0;
   }
   return next_choice(arity);
 }
@@ -348,12 +364,12 @@ std::uint32_t ReplayDriver::next_choice(std::uint32_t arity) {
     return d.chosen;
   }
   if (trace_.size() >= limit_) {
-    throw FrontierCut{};
+    return raise_cut(Cut::kFrontier);
   }
   trace_.push_back(Decision{0, arity, 0, 0});
   ++pos_;
   if (prune_ != nullptr && *prune_ && (*prune_)(trace_)) {
-    throw PruneCut{};
+    return raise_cut(Cut::kPrune);
   }
   return 0;
 }

@@ -353,8 +353,8 @@ TEST(CheckpointResume, FrontierRingPressureSpillsAndStaysExact) {
   // while the producer streams the remaining depth-2 prefixes into a
   // 2-slot ring — the overflow, and hence the journal, is guaranteed, and
   // the producer's spill path never blocks, so neither side can deadlock.
-  // Producer enumeration attempts are cut at the frontier before the body
-  // finishes, so they never reach the gate.
+  // Producer enumeration attempts are cut at the frontier, and a cut run
+  // returns before the gate.
   const auto gated_body = [](std::shared_ptr<std::atomic<bool>> spill_seen,
                              std::string spill_path) -> ExecutionBody {
     return [spill_seen = std::move(spill_seen),
@@ -368,7 +368,9 @@ TEST(CheckpointResume, FrontierRingPressureSpillsAndStaysExact) {
           }
         });
       }
-      rt.run(driver);
+      if (rt.run(driver).cut) {
+        return;
+      }
       if (spill_path.empty() || spill_seen->load(std::memory_order_relaxed)) {
         return;
       }

@@ -7,6 +7,7 @@
 
 #include <set>
 
+#include "subc/algorithms/stepped_bodies.hpp"
 #include "subc/objects/register.hpp"
 #include "subc/runtime/runtime.hpp"
 
@@ -368,6 +369,80 @@ TEST(Explorer, BudgetExactlyEqualToTreeSizeReportsComplete) {
     EXPECT_TRUE(short_one.ok());
     EXPECT_FALSE(short_one.complete) << "threads=" << threads;
     EXPECT_EQ(short_one.executions, 5);
+  }
+}
+
+// --- Cut worlds: bodies that catch everything ------------------------------
+
+// The bench-grid mixed world (each process alternates a write to its own
+// register with a write to a shared one), 3 processes x 4 steps, with a
+// check that throws on any unfinished world. `catch_all` wraps the run in
+// `catch (...)` before checking, the way a body guarding its own cleanup
+// might: a cut must still not reach the check as a finished world.
+ExecutionBody mixed_world(Engine engine, bool catch_all) {
+  return [engine, catch_all](ScheduleDriver& driver) {
+    Runtime rt;
+    Register<> shared(0);
+    RegisterArray<> own(3, 0);
+    for (int p = 0; p < 3; ++p) {
+      if (engine == Engine::kStepped) {
+        rt.add_stepped(SteppedMixedWriter{&own[p], &shared, p, 4});
+      } else {
+        rt.add_process([&, p](Context& ctx) {
+          for (int s = 0; s < 4; ++s) {
+            if (s % 2 == 0) {
+              own[p].write(ctx, s);
+            } else {
+              shared.write(ctx, p);
+            }
+          }
+        });
+      }
+    }
+    if (catch_all) {
+      try {
+        rt.run(driver);
+      } catch (...) {
+      }
+    } else {
+      rt.run(driver);
+    }
+    for (int p = 0; p < 3; ++p) {
+      if (rt.state_of(p) != ProcState::kDone) {
+        throw SpecViolation("process " + std::to_string(p) + " unfinished");
+      }
+    }
+  };
+}
+
+TEST(ExplorerCuts, CatchAllBodyExploresLikeThePlainBody) {
+  for (const Engine engine : {Engine::kFiber, Engine::kStepped}) {
+    for (const bool stateful : {false, true}) {
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE(testing::Message()
+                     << (engine == Engine::kFiber ? "fiber" : "stepped")
+                     << (stateful ? " stateful" : " sleep sets") << " threads "
+                     << threads);
+        Explorer::Options opts;
+        opts.stateful = stateful;
+        opts.threads = threads;
+        const auto plain = Explorer::explore(mixed_world(engine, false), opts);
+        const auto guarded =
+            Explorer::explore(mixed_world(engine, true), opts);
+        ASSERT_TRUE(plain.ok()) << *plain.violation;
+        EXPECT_TRUE(plain.complete);
+        EXPECT_GT(plain.reduced_subtrees, 0);
+        ASSERT_TRUE(guarded.ok()) << *guarded.violation;
+        EXPECT_EQ(guarded.complete, plain.complete);
+        if (stateful && threads > 1) {
+          // Shared visited set: only the verdict is timing-independent.
+          continue;
+        }
+        EXPECT_EQ(guarded.executions, plain.executions);
+        EXPECT_EQ(guarded.reduced_subtrees, plain.reduced_subtrees);
+        EXPECT_EQ(guarded.stateful_cuts, plain.stateful_cuts);
+      }
+    }
   }
 }
 

@@ -351,6 +351,51 @@ TEST(ProgressTicker, ParallelSearchAggregatesAcrossWorkers) {
   EXPECT_EQ(snap.reduced, result.reduced_subtrees);
 }
 
+TEST(ProgressTicker, CutRunsAreNeitherExecutionsNorViolations) {
+  // A correct world whose check demands a finished world, so it throws on
+  // every partial world a cut leaves behind. Cut runs emit no run end, and
+  // what their check throws is dropped before it reaches an observer.
+  const ExecutionBody body = [](ScheduleDriver& driver) {
+    Runtime rt;
+    Register<> shared(0);
+    RegisterArray<> own(3, 0);
+    for (int p = 0; p < 3; ++p) {
+      rt.add_process([&, p](Context& ctx) {
+        own[p].write(ctx, 1);
+        shared.write(ctx, p);
+        own[p].write(ctx, 2);
+      });
+    }
+    rt.run(driver);
+    for (int p = 0; p < 3; ++p) {
+      if (rt.state_of(p) != ProcState::kDone) {
+        throw SpecViolation("process " + std::to_string(p) + " unfinished");
+      }
+    }
+  };
+  for (const bool stateful : {false, true}) {
+    ProgressTicker ticker(/*period_seconds=*/1e9, nullptr);
+    ViolationCollector collector;
+    AccessCounters counters;
+    ObserverChain chain({&ticker, &collector, &counters});
+    Explorer::Options opts;
+    opts.stateful = stateful;
+    opts.observer = &chain;
+    const auto result = Explorer::explore(body, opts);
+    ASSERT_TRUE(result.ok()) << *result.violation;
+    EXPECT_TRUE(result.complete);
+    // The search did cut runs: more worlds began than executions counted.
+    EXPECT_GT(counters.runs(), result.executions);
+    if (stateful) {
+      EXPECT_GT(result.stateful_cuts, 0);
+    }
+    EXPECT_EQ(ticker.snapshot().executions, result.executions);
+    EXPECT_EQ(ticker.snapshot().stateful_cuts, result.stateful_cuts);
+    EXPECT_EQ(collector.count(), 0);
+    EXPECT_EQ(counters.violations(), 0);
+  }
+}
+
 TEST(Observer, RandomSweepFeedsObserver) {
   AccessCounters counters;
   const ExecutionBody body = [](ScheduleDriver& driver) {

@@ -330,5 +330,28 @@ TEST(RecordingPolicy, ResetClearsTheJournal) {
   EXPECT_TRUE(recorder.journal().empty());
 }
 
+TEST(RecordingPolicy, CutsPassThroughDecoratorsUnjournaled) {
+  // The inner driver records one fresh decision, then cuts. The cut
+  // reaches the kernel unchanged through both decorators: it is neither
+  // journaled nor counted as a grant, and nothing indexes `enabled` by it.
+  ReplayDriver inner;
+  inner.set_decision_limit(1);
+  CrashAdversary adversary(inner, std::vector<CrashAdversary::CrashPoint>{});
+  RecordingPolicy recorder(adversary);
+  Runtime rt;
+  RegisterArray<> regs(2, kBottom);
+  for (int p = 0; p < 2; ++p) {
+    rt.add_process([&, p](Context& ctx) {
+      regs[p].write(ctx, p);
+      regs[p].write(ctx, p + 2);
+    });
+  }
+  const auto result = rt.run(recorder);
+  EXPECT_TRUE(result.cut);
+  EXPECT_EQ(result.total_steps, 1);
+  EXPECT_EQ(recorder.format_journal(), "g0/2");
+  EXPECT_EQ(inner.cut(), ReplayDriver::Cut::kFrontier);
+}
+
 }  // namespace
 }  // namespace subc

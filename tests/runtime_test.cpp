@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "subc/algorithms/stepped_bodies.hpp"
 #include "subc/objects/register.hpp"
+#include "subc/runtime/observer.hpp"
 #include "subc/runtime/scheduler.hpp"
 
 namespace subc {
@@ -22,6 +24,7 @@ TEST(Runtime, RunsSingleProcessToCompletion) {
   EXPECT_EQ(result.decisions, (std::vector<Value>{42}));
   EXPECT_EQ(result.states[0], ProcState::kDone);
   EXPECT_TRUE(result.quiescent);
+  EXPECT_FALSE(result.cut);
   EXPECT_EQ(result.total_steps, 2);  // one write + one read
 }
 
@@ -217,6 +220,120 @@ TEST(Runtime, ManyProcessesAllFinish) {
     EXPECT_EQ(result.states[static_cast<std::size_t>(p)], ProcState::kDone);
   }
   EXPECT_EQ(result.total_steps, kProcs * 20);
+}
+
+// --- Cuts: a policy answering SchedulePolicy::kCut ------------------------
+
+// Grants pid-order option 0 for `grants` picks, then answers kCut; object
+// choices answer `choice` (kCut to cut from inside a step).
+struct CuttingPolicy final : SchedulePolicy {
+  int grants = 0;
+  std::uint32_t choice = 0;
+  int picks = 0;
+
+  std::size_t pick(std::span<const int> /*enabled*/,
+                   std::span<const Access> /*footprints*/ = {}) override {
+    return picks++ < grants ? 0 : kCut;
+  }
+  std::uint32_t choose(std::uint32_t /*arity*/) override { return choice; }
+};
+
+// Records the kernel events a cut must (not) emit.
+struct CutLog final : TraceObserver {
+  int begins = 0;
+  int steps = 0;
+  int chooses = 0;
+  int ends = 0;
+  void on_run_begin(int /*n*/) override { ++begins; }
+  void on_step(const StepEvent& /*e*/) override { ++steps; }
+  void on_choose(int /*pid*/, std::uint32_t /*arity*/,
+                 std::uint32_t /*chosen*/) override {
+    ++chooses;
+  }
+  void on_run_end(std::int64_t /*steps*/, bool /*quiescent*/) override {
+    ++ends;
+  }
+};
+
+TEST(RuntimeCut, PickAnsweringCutStopsTheRunPartway) {
+  Runtime rt;
+  CutLog log;
+  rt.set_observer(&log);
+  RegisterArray<> regs(2, kBottom);
+  int writes = 0;
+  for (int p = 0; p < 2; ++p) {
+    rt.add_process([&, p](Context& ctx) {
+      regs[p].write(ctx, p);
+      ++writes;
+      regs[p].write(ctx, p + 10);
+      ++writes;
+    });
+  }
+  CuttingPolicy policy;
+  policy.grants = 1;
+  const auto result = rt.run(policy);
+  EXPECT_TRUE(result.cut);
+  EXPECT_FALSE(result.quiescent);
+  EXPECT_EQ(result.total_steps, 1);
+  EXPECT_EQ(writes, 1);
+  EXPECT_EQ(result.states, (std::vector<ProcState>{ProcState::kRunning,
+                                                   ProcState::kRunning}));
+  EXPECT_EQ(policy.picks, 2);  // the grant, then the cut
+  EXPECT_EQ(log.begins, 1);
+  EXPECT_EQ(log.steps, 1);
+  EXPECT_EQ(log.ends, 0);  // a cut run does not end, it is stopped
+}
+
+TEST(RuntimeCut, PickCutStopsSteppedProcessesToo) {
+  Runtime rt;
+  CutLog log;
+  rt.set_observer(&log);
+  Register<> shared(0);
+  RegisterArray<> own(3, 0);
+  for (int p = 0; p < 3; ++p) {
+    rt.add_stepped(SteppedMixedWriter{&own[p], &shared, p, 4});
+  }
+  CuttingPolicy policy;
+  policy.grants = 5;
+  const auto result = rt.run(policy);
+  EXPECT_TRUE(result.cut);
+  EXPECT_FALSE(result.quiescent);
+  EXPECT_EQ(result.total_steps, 5);
+  EXPECT_EQ(log.steps, 5);
+  EXPECT_EQ(log.ends, 0);
+}
+
+TEST(RuntimeCut, ChooseAnsweringCutFinishesTheStepOnOptionZero) {
+  Runtime rt;
+  CutLog log;
+  rt.set_observer(&log);
+  Register<> reg(0);
+  std::uint32_t got = 99;
+  bool step_finished = false;
+  bool second_step = false;
+  rt.add_process([&](Context& ctx) {
+    reg.read(ctx);  // the granted step: choose runs inside it
+    got = ctx.choose(3);
+    got += ctx.choose(2);  // the rest of the step does not consult the policy
+    step_finished = true;
+    reg.write(ctx, 1);
+    second_step = true;
+  });
+  rt.add_process([&](Context& ctx) { reg.write(ctx, 2); });
+  CuttingPolicy policy;
+  policy.grants = 1'000;
+  policy.choice = SchedulePolicy::kCut;
+  const auto result = rt.run(policy);
+  EXPECT_TRUE(result.cut);
+  EXPECT_FALSE(result.quiescent);
+  EXPECT_EQ(got, 0u);
+  EXPECT_TRUE(step_finished);
+  EXPECT_FALSE(second_step);
+  EXPECT_EQ(result.total_steps, 1);  // no grant after the cut step
+  EXPECT_EQ(policy.picks, 1);        // nor a further decision point
+  EXPECT_EQ(log.steps, 1);
+  EXPECT_EQ(log.chooses, 0);
+  EXPECT_EQ(log.ends, 0);
 }
 
 }  // namespace

@@ -7,6 +7,9 @@
 
 #include <array>
 
+#include "subc/objects/register.hpp"
+#include "subc/runtime/runtime.hpp"
+
 namespace subc {
 namespace {
 
@@ -159,6 +162,155 @@ TEST(Replay, IndependentSiblingFallsAsleepBelowTheGrantedStep) {
   EXPECT_EQ(driver.reduced(), 1);
   ASSERT_EQ(driver.trace().size(), 2u);
   EXPECT_EQ(driver.trace()[1].sleep, 0b01u);
+}
+
+// --- Cuts are answers: a cut ReplayDriver answers kCut and stays cut ------
+
+using Cut = ReplayDriver::Cut;
+
+TEST(ReplayCut, SleepSetCutIsAnAnswerNotAThrow) {
+  // Replaying {chosen=1} puts pid 0 to sleep (its write commutes with the
+  // granted one); a forced step by the sleeping pid 0 is then redundant.
+  std::vector<ReplayDriver::Decision> prefix{{1, 2, 0b11, 0}};
+  ReplayDriver driver(std::move(prefix));
+  driver.set_reduction(true);
+  const std::array<int, 2> enabled{0, 1};
+  const std::array<Access, 2> fps{Access{3, AccessKind::kWrite},
+                                  Access{9, AccessKind::kWrite}};
+  EXPECT_EQ(driver.pick(enabled, fps), 1u);
+  EXPECT_EQ(driver.cut(), Cut::kNone);
+  const std::array<int, 1> only_zero{0};
+  const std::array<Access, 1> fp0{Access{3, AccessKind::kWrite}};
+  EXPECT_EQ(driver.pick(only_zero, fp0), SchedulePolicy::kCut);
+  EXPECT_EQ(driver.cut(), Cut::kSleep);
+  EXPECT_EQ(driver.reduced(), 1);
+}
+
+TEST(ReplayCut, CutDriverAnswersCutToPicksAndZeroToEverythingElse) {
+  ReplayDriver driver;
+  driver.set_decision_limit(0);
+  driver.set_max_crashes(1);
+  const std::array<int, 2> enabled{0, 1};
+  EXPECT_EQ(driver.pick(enabled), SchedulePolicy::kCut);
+  EXPECT_EQ(driver.cut(), Cut::kFrontier);
+  EXPECT_TRUE(driver.trace().empty());  // nothing recorded past the limit
+  EXPECT_EQ(driver.choose(3), 0u);
+  EXPECT_EQ(driver.crash_requests(enabled), 0u);
+  const std::array<int, 1> crashed{1};
+  EXPECT_EQ(driver.recovery_requests(crashed), 0u);
+  driver.begin_run();  // the cut spans the whole execution
+  EXPECT_EQ(driver.cut(), Cut::kFrontier);
+  EXPECT_EQ(driver.pick(enabled), SchedulePolicy::kCut);
+  EXPECT_TRUE(driver.trace().empty());
+}
+
+TEST(ReplayCut, CutDriverStopsASecondRunAtItsFirstDecisionPoint) {
+  ReplayDriver driver;
+  driver.set_decision_limit(0);
+  {
+    Runtime rt;
+    RegisterArray<> regs(2, kBottom);
+    for (int p = 0; p < 2; ++p) {
+      rt.add_process([&, p](Context& ctx) { regs[p].write(ctx, p); });
+    }
+    const auto first = rt.run(driver);
+    EXPECT_TRUE(first.cut);
+    EXPECT_EQ(first.total_steps, 0);
+  }
+  // One process: its picks are forced (arity 1) and would never cut on
+  // their own, yet the cut driver grants it nothing.
+  Runtime rt;
+  Register<> reg(kBottom);
+  bool wrote = false;
+  rt.add_process([&](Context& ctx) {
+    reg.write(ctx, 1);
+    wrote = true;
+  });
+  const auto second = rt.run(driver);
+  EXPECT_TRUE(second.cut);
+  EXPECT_FALSE(second.quiescent);
+  EXPECT_EQ(second.total_steps, 0);
+  EXPECT_FALSE(wrote);
+}
+
+TEST(ReplayCut, StatefulProbeCutLandsAtTheNextPick) {
+  detail::VisitedSet visited(64);
+  ReplayDriver driver;
+  driver.set_stateful(&visited);
+  driver.set_max_crashes(1);
+  driver.on_state_fp(0x1234, true);  // first visit: inserted
+  EXPECT_EQ(driver.cut(), Cut::kNone);
+  driver.on_state_fp(0x1234, true);  // same (state, sleep-set): seen
+  EXPECT_EQ(driver.cut(), Cut::kStateful);
+  const std::array<int, 2> enabled{0, 1};
+  EXPECT_EQ(driver.crash_requests(enabled), 0u);  // no crash branching
+  EXPECT_TRUE(driver.trace().empty());
+  EXPECT_EQ(driver.pick(enabled), SchedulePolicy::kCut);
+  EXPECT_TRUE(driver.trace().empty());
+}
+
+TEST(ReplayCut, CrashAndRecoveryCutsLandAtTheNextPick) {
+  const std::array<int, 2> enabled{0, 1};
+  {
+    // Frontier cut raised by a fresh crash decision: "no crash" answered.
+    ReplayDriver driver;
+    driver.set_decision_limit(0);
+    driver.set_max_crashes(1);
+    EXPECT_EQ(driver.crash_requests(enabled), 0u);
+    EXPECT_EQ(driver.cut(), Cut::kFrontier);
+    EXPECT_EQ(driver.pick(enabled), SchedulePolicy::kCut);
+  }
+  {
+    // Prune cut on a fresh crash decision: recorded (as "no crash", so the
+    // explorer's backtracking bumps through the victims), then cut.
+    const ReplayDriver::PruneFn prune =
+        [](std::span<const ReplayDriver::Decision>) { return true; };
+    ReplayDriver driver;
+    driver.set_prune(&prune);
+    driver.set_max_crashes(1);
+    EXPECT_EQ(driver.crash_requests(enabled), 0u);
+    EXPECT_EQ(driver.cut(), Cut::kPrune);
+    ASSERT_EQ(driver.trace().size(), 1u);
+    EXPECT_TRUE(driver.trace()[0].crash);
+    EXPECT_EQ(driver.pick(enabled), SchedulePolicy::kCut);
+    EXPECT_EQ(driver.trace().size(), 1u);
+  }
+  {
+    // Frontier cut raised by a fresh recovery decision.
+    ReplayDriver driver;
+    driver.set_decision_limit(0);
+    driver.set_max_recoveries(1);
+    const std::array<int, 1> crashed{1};
+    EXPECT_EQ(driver.recovery_requests(crashed), 0u);
+    EXPECT_EQ(driver.cut(), Cut::kFrontier);
+    const std::array<int, 1> survivor{0};
+    EXPECT_EQ(driver.pick(survivor), SchedulePolicy::kCut);
+  }
+}
+
+TEST(ReplayCut, ChooseCutsAnsweringCut) {
+  const ReplayDriver::PruneFn prune =
+      [](std::span<const ReplayDriver::Decision> t) { return t.size() == 2; };
+  ReplayDriver driver;
+  driver.set_prune(&prune);
+  EXPECT_EQ(driver.choose(3), 0u);
+  EXPECT_EQ(driver.choose(2), SchedulePolicy::kCut);  // recorded, then cut
+  EXPECT_EQ(driver.cut(), Cut::kPrune);
+  EXPECT_EQ(driver.trace().size(), 2u);
+  EXPECT_EQ(driver.choose(2), 0u);  // once cut: option 0, nothing recorded
+  EXPECT_EQ(driver.trace().size(), 2u);
+}
+
+TEST(ReplayCut, StepQuotaStillThrows) {
+  // The watchdog is the one cut that stays a throw: a livelocked run must
+  // not carry on past it.
+  ReplayDriver driver;
+  driver.set_step_quota(2);
+  const std::array<int, 2> enabled{0, 1};
+  EXPECT_EQ(driver.pick(enabled), 0u);
+  EXPECT_EQ(driver.pick(enabled), 0u);
+  EXPECT_THROW(static_cast<void>(driver.pick(enabled)), StuckCut);
+  EXPECT_EQ(driver.cut(), Cut::kNone);
 }
 
 TEST(Random, SameSeedSameDecisions) {
