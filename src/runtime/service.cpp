@@ -494,6 +494,13 @@ void ShardedService::worker_main(int shard) {
     deadlines.clear();
   }
 
+  // Ops still waiting in a lane belong to instances already reclaimed (the
+  // loop exits only with `metas` empty): a timed-out instance whose late
+  // op was scheduled past its deadline. Count them as the tick that would
+  // have reached them does.
+  for (const auto& pending : op_ring) {
+    st.skipped_ops += static_cast<std::int64_t>(pending.size());
+  }
   st.peak_live = table.stats().peak_live;
   st.live_at_exit = table.stats().live;
   st.blocks_carved = table.stats().blocks_carved;

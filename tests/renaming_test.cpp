@@ -11,9 +11,12 @@
 namespace subc {
 namespace {
 
+// gtest names each case by a byte dump of its parameter, so Case has no
+// padding bytes: they would be uninitialised and rename the case from run
+// to run.
 struct Case {
   int participants;
-  bool register_snapshot;
+  int register_snapshot;  // 0 or 1
 };
 
 class RenamingSweep : public ::testing::TestWithParam<Case> {};
@@ -24,7 +27,7 @@ TEST_P(RenamingSweep, UniqueNamesInRange) {
   const ExecutionBody body = [k, reg_snap =
                                      reg_snap](ScheduleDriver& driver) {
     Runtime rt;
-    SnapshotRenaming renaming(k, reg_snap);
+    SnapshotRenaming renaming(k, reg_snap != 0);
     std::vector<Value> names(static_cast<std::size_t>(k), kBottom);
     for (int p = 0; p < k; ++p) {
       rt.add_process([&, p](Context& ctx) {
@@ -53,9 +56,8 @@ TEST_P(RenamingSweep, UniqueNamesInRange) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sizes, RenamingSweep,
-    ::testing::Values(Case{2, false}, Case{3, false}, Case{4, false},
-                      Case{5, false}, Case{2, true}, Case{3, true},
-                      Case{4, true}));
+    ::testing::Values(Case{2, 0}, Case{3, 0}, Case{4, 0}, Case{5, 0},
+                      Case{2, 1}, Case{3, 1}, Case{4, 1}));
 
 TEST(Renaming, SubsetParticipationStaysInSubsetRange) {
   // Only 2 of 5 potential processes participate: names must fit in

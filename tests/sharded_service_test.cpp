@@ -86,7 +86,13 @@ TEST(ShardedService, DecidesAndReportsThroughTheCallback) {
   std::mutex mu;
   std::vector<DecidedView> views;  // pointers not retained past callback
   std::vector<std::size_t> proposal_counts;
-  ShardedService svc(fast_options(2), [&](const DecidedView& view) {
+  // Unanimity: the decision waits for all three ops, so the view carries
+  // every proposal however the submitting thread is scheduled. Under 2/3
+  // a third submit delayed by a few worker ticks lands after the decision.
+  ServiceOptions opts = fast_options(2);
+  opts.quorum_num = 1;
+  opts.quorum_den = 1;
+  ShardedService svc(opts, [&](const DecidedView& view) {
     std::lock_guard<std::mutex> lk(mu);
     views.push_back(view);
     views.back().block = nullptr;  // worker-owned; drop before returning
