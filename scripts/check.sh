@@ -50,10 +50,11 @@
 #                                 fully drained shard tables at exit
 #   scripts/check.sh --service-smoke sharded-service gate only: the
 #                                 ShardedService suite (routing, shard
-#                                 isolation, dedup-memo races, backpressure,
-#                                 drain-at-exit) under ThreadSanitizer —
-#                                 the cross-thread inbox / memo / stop
-#                                 protocol is exactly what TSan watches
+#                                 isolation, dedup-window rotation races,
+#                                 backpressure, drain-at-exit) under
+#                                 ThreadSanitizer — the cross-thread inbox /
+#                                 memo / stop protocol is exactly what TSan
+#                                 watches
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -310,10 +311,11 @@ fi
 # --- Service smoke: the sharded-service concurrency gate ------------------
 # The ShardedService suite under ThreadSanitizer: per-shard MPSC inboxes
 # over the Vyukov ring, the park/notify producer-consumer protocol, the
-# CAS-claimed DecisionMemo (exactly-one-winner, publish-before-lookup), and
+# windowed DecisionMemo (recorders and readers racing through generation
+# rotations under the per-partition locks, one winner per held key), and
 # the stop()/drain/join teardown are all cross-thread edges — exactly what
 # TSan instruments. The same suite runs un-sanitized in tier-1; this stage
-# is the data-race gate.
+# is the data-race gate (CI runs it too).
 if [[ "${SERVICE_SMOKE}" == "1" ]]; then
   cmake -B build-tsan -G Ninja \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer -g -O1" \

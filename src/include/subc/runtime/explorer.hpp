@@ -174,7 +174,10 @@ class Explorer {
 
     /// Capacity of the stateful visited set (entries; the backing table is
     /// sized for ~70% peak load). When full, further states are explored
-    /// without cutting — still sound, just fewer cuts. Must be positive.
+    /// without cutting — still sound, just fewer cuts. Must be in
+    /// [1, 2^40]. The table's pages are zeroed lazily, so a search's
+    /// resident memory follows the distinct states it records, not this
+    /// capacity.
     std::int64_t stateful_capacity = std::int64_t{1} << 20;
 
     /// Per-execution step-quota watchdog: an execution consuming more than

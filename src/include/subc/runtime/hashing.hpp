@@ -1,15 +1,20 @@
 // Small non-cryptographic hashing primitives shared by the checker's
 // fingerprint memo, spec `hash(State)` hooks (objects layer), and the
-// explorer's stateful-search visited set. Kept in the runtime layer so all
-// three may include them without a layering inversion.
+// explorer's stateful-search visited set, plus the lazily zeroed slot
+// storage and sizing rule under the visited set and the sharded service's
+// decision memo. Kept in the runtime layer so all of them may include it
+// without a layering inversion.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
+
+#include "subc/runtime/value.hpp"
 
 namespace subc::detail {
 
@@ -95,31 +100,96 @@ inline std::uint64_t fp_of(const std::vector<std::int64_t>& vs) noexcept {
   return h;
 }
 
+// --- Fingerprint-table storage ----------------------------------------------
+
+/// The largest key count a fingerprint table may be sized for (2^40: 16 TiB
+/// of VisitedSet slots, far past any host). Above it the sizing rule's
+/// arithmetic would overflow and its doubling loop would never end.
+inline constexpr std::size_t kMaxTableKeys = std::size_t{1} << 40;
+
+/// Returns `keys` if it is in [1, kMaxTableKeys]; otherwise throws SimError
+/// naming `field`, the option the count came from. Options that size a
+/// table (`Explorer::Options::stateful_capacity`,
+/// `ServiceOptions::dedup_capacity`) are checked through this before
+/// anything is built.
+inline std::size_t checked_table_keys(std::size_t keys,
+                                      std::string_view field) {
+  if (keys == 0 || keys > kMaxTableKeys) {
+    throw SimError(std::string(field) + " must be in [1, 2^40], got " +
+                   std::to_string(keys));
+  }
+  return keys;
+}
+
+/// The sizing rule VisitedSet and DecisionMemo share: the smallest power of
+/// two, at least 64, that holds `keys` (checked) keys at most ~70% loaded.
+inline constexpr std::size_t table_slots(std::size_t keys) noexcept {
+  std::size_t slots = 64;
+  while (slots * 7 < keys * 10) {
+    slots *= 2;
+  }
+  return slots;
+}
+
+/// Anonymous zero pages of at least `bytes` bytes: mmap'ed with
+/// MADV_NOHUGEPAGE where there is mmap, so a page costs resident memory
+/// only once touched, on any transparent-huge-page setting; calloc
+/// elsewhere. Throws std::bad_alloc on failure. (Plain calloc does not
+/// guarantee this on glibc: its mmap threshold rises after a large free,
+/// so a later calloc of that size may come from the heap, zero-filled by
+/// hand.)
+void* map_zero_pages(std::size_t bytes);
+/// Releases a map_zero_pages block of `bytes` bytes.
+void unmap_zero_pages(void* pages, std::size_t bytes) noexcept;
+
+/// A fixed array of `count` slots that starts all-zero and is backed by
+/// map_zero_pages: building one costs no fill, and its resident size
+/// follows the slots touched, not `count`. The storage under VisitedSet
+/// and DecisionMemo, whose empty slot is the all-zero one.
+template <typename Slot>
+class SlotStorage {
+  static_assert(std::is_trivially_copyable_v<Slot> &&
+                    std::is_trivially_default_constructible_v<Slot>,
+                "a slot must be valid as all-zero bytes");
+
+ public:
+  explicit SlotStorage(std::size_t count)
+      : slots_(static_cast<Slot*>(map_zero_pages(count * sizeof(Slot)))),
+        count_(count) {}
+  ~SlotStorage() { unmap_zero_pages(slots_, count_ * sizeof(Slot)); }
+
+  SlotStorage(const SlotStorage&) = delete;
+  SlotStorage& operator=(const SlotStorage&) = delete;
+
+  Slot& operator[](std::size_t i) noexcept { return slots_[i]; }
+  const Slot& operator[](std::size_t i) const noexcept { return slots_[i]; }
+  [[nodiscard]] std::size_t size() const noexcept { return count_; }
+
+ private:
+  Slot* slots_;
+  std::size_t count_;
+};
+
 /// Fixed-capacity concurrent open-addressing set of 64-bit fingerprints —
 /// the explorer's visited-(state, sleep-set) cache. The single-threaded
 /// `FingerprintSet` in checking/linearizability.hpp is the shape model
 /// (0-sentinel empty slots, 0 remapped to 1, linear probing); this variant
-/// trades growth for lock-freedom: slots are plain atomics, insertion is a
-/// CAS race whose loser re-reads the slot, and when the table reaches its
-/// load limit further probes report "not seen" without inserting. That
-/// saturation rule is sound — the explorer just stops taking cuts — and
-/// keeps the memory bound the `stateful_capacity` knob promises.
+/// trades growth for lock-freedom: slots are plain words updated through
+/// `std::atomic_ref`, insertion is a CAS race whose loser re-reads the
+/// slot, and when the table reaches its load limit further probes report
+/// "not seen" without inserting. That saturation rule is sound — the
+/// explorer just stops taking cuts — and keeps the memory bound the
+/// `stateful_capacity` knob promises. The slots live in SlotStorage, so a
+/// search pays resident memory for the distinct states it records, not for
+/// `capacity`.
 class VisitedSet {
  public:
-  /// `capacity` = maximum number of distinct keys the set will hold.
-  /// Slots are sized to the next power of two at most ~70% loaded.
-  explicit VisitedSet(std::size_t capacity) {
-    std::size_t slots = 64;
-    while (slots * 7 < capacity * 10) {
-      slots *= 2;
-    }
-    slots_ = std::make_unique<std::atomic<std::uint64_t>[]>(slots);
-    for (std::size_t i = 0; i < slots; ++i) {
-      slots_[i].store(0, std::memory_order_relaxed);
-    }
-    num_slots_ = slots;
-    max_size_ = slots * 7 / 10;
-  }
+  /// `capacity` = maximum number of distinct keys the set will hold, in
+  /// [1, kMaxTableKeys]; slots are sized by `table_slots`.
+  explicit VisitedSet(std::size_t capacity)
+      : slots_(table_slots(
+            checked_table_keys(capacity, "VisitedSet capacity"))),
+        max_size_(slots_.size() * 7 / 10) {}
 
   /// Returns true iff `key` was already present ("seen — cut here").
   /// Otherwise tries to insert it and returns false; when the table is
@@ -128,9 +198,10 @@ class VisitedSet {
   /// so two executions probing the same state cannot both cut on it.
   bool check_and_insert(std::uint64_t key) noexcept {
     key += (key == 0);
-    const std::uint64_t mask = num_slots_ - 1;
+    const std::uint64_t mask = slots_.size() - 1;
     for (std::uint64_t i = key & mask;; i = (i + 1) & mask) {
-      std::uint64_t cur = slots_[i].load(std::memory_order_relaxed);
+      const std::atomic_ref<std::uint64_t> slot(slots_[i]);
+      std::uint64_t cur = slot.load(std::memory_order_relaxed);
       if (cur == key) {
         hits_.fetch_add(1, std::memory_order_relaxed);
         return true;
@@ -139,8 +210,8 @@ class VisitedSet {
         if (size_.load(std::memory_order_relaxed) >= max_size_) {
           return false;  // saturated: sound, just no more cuts
         }
-        if (slots_[i].compare_exchange_strong(cur, key,
-                                              std::memory_order_relaxed)) {
+        if (slot.compare_exchange_strong(cur, key,
+                                         std::memory_order_relaxed)) {
           size_.fetch_add(1, std::memory_order_relaxed);
           return false;
         }
@@ -159,14 +230,15 @@ class VisitedSet {
   [[nodiscard]] std::int64_t hits() const noexcept {
     return static_cast<std::int64_t>(hits_.load(std::memory_order_relaxed));
   }
-  [[nodiscard]] std::size_t slot_count() const noexcept { return num_slots_; }
+  [[nodiscard]] std::size_t slot_count() const noexcept {
+    return slots_.size();
+  }
   [[nodiscard]] bool saturated() const noexcept {
     return size_.load(std::memory_order_relaxed) >= max_size_;
   }
 
  private:
-  std::unique_ptr<std::atomic<std::uint64_t>[]> slots_;
-  std::size_t num_slots_ = 0;
+  SlotStorage<std::uint64_t> slots_;
   std::size_t max_size_ = 0;
   std::atomic<std::size_t> size_{0};
   std::atomic<std::size_t> hits_{0};

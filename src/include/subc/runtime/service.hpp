@@ -18,15 +18,18 @@
 // Cross-shard dedup: every open may carry a client-supplied logical-request
 // fingerprint (`request_fp` — e.g. a hash of the request's origin and
 // sequence number). When an instance decides, its shard records
-// (fp_request_domain(request_fp) → decided value) in a shared lock-free
-// `DecisionMemo` (the explorer `VisitedSet`'s CAS-claim shape, extended
-// with a published value per key). A replayed request — routed to ANY
-// shard, since a replay gets a fresh id — probes the memo first and
-// short-circuits to the recorded decision instead of re-running agreement.
-// Soundness: the memo is an at-most-once *record* of a decision, never a
-// requirement — a lookup miss (absent, still publishing, or saturated)
-// just runs agreement again, and the key CAS guarantees exactly one
-// recording wins, so every replay that hits observes the same decision.
+// (fp_request_domain(request_fp) → decided value) in a shared
+// `DecisionMemo`, a window over the most recent `dedup_capacity` decisions
+// split into 64 locked partitions of two rotating generations each. A
+// replayed request — routed to ANY shard, since a replay gets a fresh id —
+// probes the memo first and short-circuits to the recorded decision instead
+// of re-running agreement. Soundness: the memo is an at-most-once *record*
+// of a decision, never a requirement — a lookup miss (never recorded, or
+// aged out of the window) just runs agreement again, and the partition
+// lock lets exactly one recording of a held key win, so while a key is
+// held every replay that hits observes the one recorded decision. The
+// memo's memory is fixed by `dedup_capacity` (4 MiB at the default) at any
+// run length, and dedup works for as long as the service runs.
 //
 // Placement: workers are pinned to distinct usable cores
 // (`pthread_setaffinity_np`, topology probed from the process affinity
@@ -35,10 +38,12 @@
 // service".
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -62,50 +67,81 @@ using ServiceId = InstanceId;
 /// (where `probe_ok` is also false — there is no probe).
 [[nodiscard]] std::vector<int> usable_cpus(bool* probe_ok = nullptr);
 
-/// Fixed-capacity lock-free memo of decided requests: 64-bit request-domain
-/// key → recorded decision. Modeled on the explorer's `VisitedSet` (CAS-
-/// claimed open addressing, 0-sentinel empty keys, saturation = stop
-/// recording), extended with a value published per key: `record` claims the
-/// key slot by CAS — exactly one concurrent recorder wins — then publishes
-/// the value with a release store; `lookup` only reports keys whose value
-/// is fully published, so a reader can never observe a half-recorded
-/// decision. All outcomes of a miss are sound: the caller just runs
-/// agreement itself.
+/// The window of recent decided requests: 64-bit request-domain key →
+/// recorded decision, holding about the last `window` recorded decisions in
+/// fixed memory. Keys split over `kPartitions` partitions by their top
+/// bits; each partition holds two generations of open-addressed `{key,
+/// value}` slots (0-sentinel empty keys, 0 remapped to 1, linear probing)
+/// under one lock. New keys go to the current generation; once it holds
+/// `partition_window()` records, the next record clears the older
+/// generation and makes it current. So a key stays for at least the next
+/// `partition_window()` records of its partition, and for fewer than twice
+/// that.
+/// Under the partition lock exactly one recorder wins per key while the key
+/// is held, and no rotation races a record or a lookup. A miss (never
+/// recorded, or aged out) is sound: the caller just runs agreement itself.
+/// The slots are lazily zeroed (SlotStorage), so the memo costs resident
+/// memory only for the generations it has filled.
 class DecisionMemo {
  public:
-  /// `capacity` = maximum number of recorded decisions; slots are sized to
-  /// the next power of two at most ~70% loaded.
-  explicit DecisionMemo(std::size_t capacity);
+  static constexpr int kPartitionBits = 6;
+  static constexpr std::size_t kPartitions = std::size_t{1} << kPartitionBits;
+
+  /// `window` = recent decisions to keep, in [1, kMaxTableKeys]; each
+  /// partition keeps ceil(window / kPartitions) per generation, in
+  /// `table_slots` of that count.
+  explicit DecisionMemo(std::size_t window);
 
   DecisionMemo(const DecisionMemo&) = delete;
   DecisionMemo& operator=(const DecisionMemo&) = delete;
 
   /// The recorded decision for `key`, or nullopt when unknown (never
-  /// recorded, recording still in flight, or dropped at saturation).
-  [[nodiscard]] std::optional<Value> lookup(std::uint64_t key) const noexcept;
+  /// recorded, or aged out of the window).
+  [[nodiscard]] std::optional<Value> lookup(std::uint64_t key) const;
 
-  /// Records `decided` for `key`. Returns true iff this call won the
-  /// recording race; false when the key is already claimed (by any caller,
-  /// published or not) or the memo is saturated.
-  bool record(std::uint64_t key, Value decided) noexcept;
+  /// Records `decided` for `key`. Returns true iff this call recorded it;
+  /// false when the key is already held (recorded by any caller and not yet
+  /// aged out).
+  bool record(std::uint64_t key, Value decided);
 
-  /// Recorded (claimed) keys.
-  [[nodiscard]] std::int64_t size() const noexcept;
-  [[nodiscard]] std::size_t slot_count() const noexcept { return num_slots_; }
-  [[nodiscard]] bool saturated() const noexcept;
+  /// Keys held now, over both generations of every partition: at most
+  /// 2 × kPartitions × partition_window().
+  [[nodiscard]] std::int64_t size() const;
+  /// Records a generation takes before its partition rotates.
+  [[nodiscard]] std::size_t partition_window() const noexcept {
+    return partition_window_;
+  }
+  /// Total slots over every partition and generation (fixed).
+  [[nodiscard]] std::size_t slot_count() const noexcept {
+    return slots_.size();
+  }
+  /// The partition `key` belongs to: its top bits.
+  [[nodiscard]] static std::size_t partition_of(std::uint64_t key) noexcept {
+    key += (key == 0);
+    return static_cast<std::size_t>(key >> (64 - kPartitionBits));
+  }
 
  private:
   struct Slot {
-    std::atomic<std::uint64_t> key{0};
-    /// 0 = unpublished, 1 = value readable (release/acquire pairing).
-    std::atomic<std::uint64_t> published{0};
-    std::atomic<Value> value{kBottom};
+    std::uint64_t key;
+    Value value;
+  };
+  struct alignas(64) Partition {
+    std::mutex mu;
+    int current = 0;               ///< the generation new keys go to
+    std::size_t held[2] = {0, 0};  ///< keys in each generation
   };
 
-  std::unique_ptr<Slot[]> slots_;
-  std::size_t num_slots_ = 0;
-  std::size_t max_size_ = 0;
-  std::atomic<std::size_t> size_{0};
+  /// Index of the slot holding `key` in the generation starting at slot
+  /// `gen`, or of the empty slot it would take. Caller holds the lock.
+  [[nodiscard]] std::size_t probe(std::size_t gen,
+                                  std::uint64_t key) const noexcept;
+
+  std::size_t partition_window_;
+  std::size_t gen_slots_;  ///< slots per generation (a power of two)
+  /// Partition p's generation g starts at slot (2p + g) × gen_slots_.
+  detail::SlotStorage<Slot> slots_;
+  mutable std::array<Partition, kPartitions> parts_;
 };
 
 struct ServiceOptions {
@@ -130,8 +166,14 @@ struct ServiceOptions {
   int timeout_ticks = 40;
   /// Decided instances stay in the table (auditable) this many ticks.
   int linger_ticks = 5;
-  /// Capacity of the shared cross-shard `DecisionMemo`.
-  std::size_t dedup_capacity = std::size_t{1} << 20;
+  /// Dedup window: the shared cross-shard `DecisionMemo` keeps about this
+  /// many of the most recent recorded decisions, in [1, 2^40]. Each key
+  /// stays for at least the next `dedup_capacity / 64` (rounded up)
+  /// decisions recorded in its partition of 64; a replay older than that
+  /// misses and runs agreement again. The memo's memory is fixed by this
+  /// knob alone, about 64 bytes per decision of window (4 MiB at the
+  /// default), however long the service runs.
+  std::size_t dedup_capacity = std::size_t{1} << 16;
 };
 
 /// What a shard worker hands the decide callback — pointers are worker-
@@ -273,8 +315,11 @@ class ShardedService {
   DecidedCallback on_decided_;
   DecisionMemo memo_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<int> cpus_;     ///< topology probe result at startup
-  bool cpu_probe_ok_ = false;  ///< sched_getaffinity probe outcome
+  /// sched_getaffinity probe outcome. Declared before `cpus_`, whose
+  /// initializer writes it: declared after, its own `= false` would run
+  /// later and overwrite the outcome.
+  bool cpu_probe_ok_ = false;
+  std::vector<int> cpus_;  ///< topology probe result at startup
   std::atomic<ServiceId> next_id_{1};
   std::atomic<bool> stopping_{false};
   std::atomic<bool> stopped_{false};

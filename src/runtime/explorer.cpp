@@ -925,6 +925,8 @@ void validate_options(const Explorer::Options& opts) {
         "Explorer::Options::stateful_capacity must be positive, got " +
         std::to_string(opts.stateful_capacity));
   }
+  detail::checked_table_keys(static_cast<std::size_t>(opts.stateful_capacity),
+                             "Explorer::Options::stateful_capacity");
   if (opts.stateful && opts.prune) {
     // A pruned subtree is marked visited without having been explored, so a
     // later stateful cut on its fingerprint would skip unexplored behaviour.

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <cstring>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -53,66 +54,68 @@ std::vector<int> usable_cpus(bool* probe_ok) {
 
 // --- DecisionMemo ---------------------------------------------------------
 
-DecisionMemo::DecisionMemo(std::size_t capacity) {
-  std::size_t slots = 64;
-  while (slots * 7 < capacity * 10) {
-    slots *= 2;
+DecisionMemo::DecisionMemo(std::size_t window)
+    : partition_window_(
+          (detail::checked_table_keys(window, "DecisionMemo window") +
+           kPartitions - 1) /
+          kPartitions),
+      gen_slots_(detail::table_slots(partition_window_)),
+      slots_(kPartitions * 2 * gen_slots_) {}
+
+std::size_t DecisionMemo::probe(std::size_t gen,
+                                std::uint64_t key) const noexcept {
+  const std::size_t mask = gen_slots_ - 1;
+  for (std::size_t i = key & mask;; i = (i + 1) & mask) {
+    const std::uint64_t cur = slots_[gen + i].key;
+    if (cur == key || cur == 0) {
+      return gen + i;
+    }
   }
-  slots_ = std::make_unique<Slot[]>(slots);
-  num_slots_ = slots;
-  max_size_ = slots * 7 / 10;
 }
 
-std::optional<Value> DecisionMemo::lookup(std::uint64_t key) const noexcept {
+std::optional<Value> DecisionMemo::lookup(std::uint64_t key) const {
   key += (key == 0);
-  const std::uint64_t mask = num_slots_ - 1;
-  for (std::uint64_t i = key & mask;; i = (i + 1) & mask) {
-    const std::uint64_t cur = slots_[i].key.load(std::memory_order_acquire);
-    if (cur == 0) {
-      return std::nullopt;  // absent
-    }
-    if (cur == key) {
-      if (slots_[i].published.load(std::memory_order_acquire) == 0) {
-        return std::nullopt;  // recording in flight: sound miss
-      }
-      return slots_[i].value.load(std::memory_order_relaxed);
+  const std::size_t p = partition_of(key);
+  Partition& part = parts_[p];
+  const std::lock_guard<std::mutex> lock(part.mu);
+  for (const int gen : {part.current, 1 - part.current}) {
+    const Slot& slot = slots_[probe((2 * p + gen) * gen_slots_, key)];
+    if (slot.key == key) {
+      return slot.value;
     }
   }
+  return std::nullopt;
 }
 
-bool DecisionMemo::record(std::uint64_t key, Value decided) noexcept {
+bool DecisionMemo::record(std::uint64_t key, Value decided) {
   key += (key == 0);
-  const std::uint64_t mask = num_slots_ - 1;
-  for (std::uint64_t i = key & mask;; i = (i + 1) & mask) {
-    std::uint64_t cur = slots_[i].key.load(std::memory_order_relaxed);
-    if (cur == key) {
-      return false;  // already claimed (published or in flight)
-    }
-    if (cur == 0) {
-      if (size_.load(std::memory_order_relaxed) >= max_size_) {
-        return false;  // saturated: sound, just no more dedup
-      }
-      if (slots_[i].key.compare_exchange_strong(cur, key,
-                                                std::memory_order_acq_rel)) {
-        slots_[i].value.store(decided, std::memory_order_relaxed);
-        slots_[i].published.store(1, std::memory_order_release);
-        size_.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-      if (cur == key) {  // lost the claim race to an identical key
-        return false;
-      }
-      // Lost to a different key: keep probing from this slot.
-    }
+  const std::size_t p = partition_of(key);
+  Partition& part = parts_[p];
+  const std::lock_guard<std::mutex> lock(part.mu);
+  const std::size_t older = (2 * p + 1 - part.current) * gen_slots_;
+  std::size_t at = probe((2 * p + part.current) * gen_slots_, key);
+  if (slots_[at].key == key || slots_[probe(older, key)].key == key) {
+    return false;  // held: the first recording stands
   }
+  if (part.held[part.current] == partition_window_) {
+    // Rotate: the older generation ages out and takes the new keys.
+    std::memset(&slots_[older], 0, gen_slots_ * sizeof(Slot));
+    part.current = 1 - part.current;
+    part.held[part.current] = 0;
+    at = probe(older, key);
+  }
+  slots_[at] = Slot{key, decided};
+  ++part.held[part.current];
+  return true;
 }
 
-std::int64_t DecisionMemo::size() const noexcept {
-  return static_cast<std::int64_t>(size_.load(std::memory_order_relaxed));
-}
-
-bool DecisionMemo::saturated() const noexcept {
-  return size_.load(std::memory_order_relaxed) >= max_size_;
+std::int64_t DecisionMemo::size() const {
+  std::size_t held = 0;
+  for (Partition& part : parts_) {
+    const std::lock_guard<std::mutex> lock(part.mu);
+    held += part.held[0] + part.held[1];
+  }
+  return static_cast<std::int64_t>(held);
 }
 
 // --- ShardedService -------------------------------------------------------
@@ -150,29 +153,38 @@ struct ShardedService::Shard {
   std::thread worker;
 };
 
-ShardedService::ShardedService(const ServiceOptions& opts,
-                               DecidedCallback on_decided)
-    : opts_(opts),
-      on_decided_(std::move(on_decided)),
-      memo_(opts.dedup_capacity == 0 ? 1 : opts.dedup_capacity),
-      cpus_(usable_cpus(&cpu_probe_ok_)) {
-  if (opts_.shards < 1) {
+namespace {
+
+/// `opts`, once every field has passed validation; runs before any member
+/// that depends on the options is built.
+const ServiceOptions& validated(const ServiceOptions& opts) {
+  if (opts.shards < 1) {
     throw SimError("ServiceOptions::shards must be >= 1");
   }
-  if (opts_.drain_batch < 1) {
+  if (opts.drain_batch < 1) {
     throw SimError("ServiceOptions::drain_batch must be >= 1");
   }
-  if (opts_.horizon_ticks < 1 || opts_.timeout_ticks < 1 ||
-      opts_.linger_ticks < 0) {
+  if (opts.horizon_ticks < 1 || opts.timeout_ticks < 1 ||
+      opts.linger_ticks < 0) {
     throw SimError(
         "ServiceOptions ticks: horizon >= 1, timeout >= 1, linger >= 0");
   }
-  if (opts_.quorum_num < 1 || opts_.quorum_den < 1) {
+  if (opts.quorum_num < 1 || opts.quorum_den < 1) {
     throw SimError("ServiceOptions quorum must be a positive fraction");
   }
-  if (opts_.dedup_capacity == 0) {
-    throw SimError("ServiceOptions::dedup_capacity must be >= 1");
-  }
+  detail::checked_table_keys(opts.dedup_capacity,
+                             "ServiceOptions::dedup_capacity");
+  return opts;
+}
+
+}  // namespace
+
+ShardedService::ShardedService(const ServiceOptions& opts,
+                               DecidedCallback on_decided)
+    : opts_(validated(opts)),
+      on_decided_(std::move(on_decided)),
+      memo_(opts_.dedup_capacity),
+      cpus_(usable_cpus(&cpu_probe_ok_)) {
   stats_.resize(static_cast<std::size_t>(opts_.shards));
   shards_.reserve(static_cast<std::size_t>(opts_.shards));
   for (int s = 0; s < opts_.shards; ++s) {

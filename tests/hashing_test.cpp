@@ -1,18 +1,25 @@
 // Tests for runtime/hashing.hpp: pinned mix64 / fnv1a64 values (the salts
 // and mixers feed the stateful explorer's visited set and the checker's
 // hashed memo — a silent drift would un-pin serial cut counts across the
-// repo), an avalanche smoke check, and the concurrent open-addressing
-// VisitedSet, including a collision-forcing probe walk mirroring
-// linearizability_memo_test's approach of attacking the memo where keys
-// alias.
+// repo), an avalanche smoke check, the table sizing rule and its limits,
+// and the concurrent open-addressing VisitedSet, including a
+// collision-forcing probe walk mirroring linearizability_memo_test's
+// approach of attacking the memo where keys alias, and its lazily zeroed
+// storage.
 #include "subc/runtime/hashing.hpp"
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <fstream>
+#include <string>
 #include <thread>
 #include <vector>
+
+#ifdef __linux__
+#include <unistd.h>
+#endif
 
 namespace subc {
 namespace {
@@ -146,6 +153,50 @@ TEST(VisitedSet, SaturationStopsInsertingButStaysSound) {
   // Keys inserted before saturation are still hits.
   EXPECT_TRUE(set.check_and_insert(1));
 }
+
+TEST(TableSizing, SharedRuleAndItsLimits) {
+  EXPECT_EQ(detail::table_slots(1), 64u);
+  EXPECT_EQ(detail::table_slots(44), 64u);  // 44 / 64 ≈ 69% load
+  EXPECT_EQ(detail::table_slots(45), 128u);
+  EXPECT_EQ(detail::table_slots(detail::kMaxTableKeys),
+            detail::kMaxTableKeys * 2);
+  EXPECT_EQ(detail::checked_table_keys(detail::kMaxTableKeys, "knob"),
+            detail::kMaxTableKeys);
+  for (const std::size_t bad :
+       {std::size_t{0}, detail::kMaxTableKeys + 1, SIZE_MAX}) {
+    try {
+      detail::checked_table_keys(bad, "Some::knob");
+      FAIL() << bad << " accepted";
+    } catch (const SimError& e) {
+      EXPECT_NE(std::string(e.what()).find("Some::knob"), std::string::npos);
+    }
+  }
+}
+
+#ifdef __linux__
+/// This process's resident set size in bytes, from /proc/self/statm.
+std::int64_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::int64_t total_pages = 0;
+  std::int64_t resident_pages = 0;
+  statm >> total_pages >> resident_pages;
+  return resident_pages * sysconf(_SC_PAGESIZE);
+}
+
+TEST(VisitedSet, ResidentMemoryFollowsTouchedSlotsNotCapacity) {
+  // 2^21 slots = 16 MiB of table. Consecutive keys land in consecutive
+  // slots, so 1,000 inserts touch a few pages; a table zero-filled at
+  // construction would be resident in full.
+  const std::int64_t before = resident_bytes();
+  detail::VisitedSet set(std::size_t{1} << 20);
+  ASSERT_EQ(set.slot_count(), std::size_t{1} << 21);
+  for (std::uint64_t key = 1; key <= 1000; ++key) {
+    ASSERT_FALSE(set.check_and_insert(key));
+  }
+  const std::int64_t grown = resident_bytes() - before;
+  EXPECT_LT(grown, std::int64_t{4} << 20) << grown << " bytes";
+}
+#endif
 
 TEST(VisitedSet, ConcurrentInsertsOfSameKeyHaveExactlyOneWinner) {
   // The soundness-critical property for the parallel explorer: two

@@ -1,19 +1,25 @@
 // Unit tests for the sharded agreement service (runtime/service.hpp):
 // routing determinism, shard isolation (no fingerprint aliasing across
-// shard tables), the cross-shard decision memo's exactly-one-winner and
-// saturation behavior, dedup short-circuiting of replayed requests,
+// shard tables), the cross-shard decision memo's exactly-one-winner rule
+// and its window (what it keeps, in fixed memory, across concurrent
+// rotations), dedup short-circuiting of replayed requests,
 // backpressured inboxes that never drop accepted ops, and drained tables
 // at exit. Run under TSan by `scripts/check.sh --service-smoke`.
 #include "subc/runtime/service.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <chrono>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <set>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "subc/runtime/hashing.hpp"
@@ -188,24 +194,156 @@ TEST(DecisionMemo, ExactlyOneRecorderWins) {
   EXPECT_EQ(*memo.lookup(key), winner_value.load());
 }
 
-TEST(DecisionMemo, SaturationIsASoundNoOp) {
-  DecisionMemo memo(10);  // slots round up to 64, max load 44
-  const std::size_t max_records = memo.slot_count() * 7 / 10;
-  std::size_t recorded = 0;
-  std::uint64_t key = 1;
-  while (!memo.saturated()) {
-    ASSERT_TRUE(memo.record(detail::mix64(key++), 7));
-    ++recorded;
-    ASSERT_LE(recorded, max_records);
+TEST(DecisionMemo, WindowKeepsRecentKeysInFixedMemory) {
+  // A 64 × 64 window fed 10× its size in distinct keys. A key is held for
+  // at least the next partition_window() records of its partition and for
+  // fewer than twice that; slots and size stay bounded throughout.
+  constexpr std::size_t kWindow = DecisionMemo::kPartitions * 64;
+  DecisionMemo memo(kWindow);
+  const std::size_t per_part = memo.partition_window();
+  ASSERT_EQ(per_part, 64u);
+  const std::size_t slots = memo.slot_count();
+  const auto value_of = [](std::uint64_t key) {
+    return static_cast<Value>(key >> 1);
+  };
+  // The keys each partition recorded, oldest first.
+  std::vector<std::vector<std::uint64_t>> recorded(DecisionMemo::kPartitions);
+  const auto check_window = [&] {
+    ASSERT_EQ(memo.slot_count(), slots);
+    ASSERT_LE(memo.size(), static_cast<std::int64_t>(2 * kWindow));
+    for (const std::vector<std::uint64_t>& keys : recorded) {
+      const std::size_t from =
+          keys.size() > 3 * per_part ? keys.size() - 3 * per_part : 0;
+      for (std::size_t i = from; i < keys.size(); ++i) {
+        const std::size_t since = keys.size() - 1 - i;
+        const auto hit = memo.lookup(keys[i]);
+        if (since < per_part) {
+          ASSERT_TRUE(hit.has_value()) << "recorded " << since << " ago";
+          ASSERT_EQ(*hit, value_of(keys[i]));
+        } else if (since >= 2 * per_part) {
+          ASSERT_FALSE(hit.has_value()) << "recorded " << since << " ago";
+        }
+      }
+    }
+  };
+  for (std::uint64_t i = 1; i <= 10 * kWindow; ++i) {
+    const std::uint64_t key = detail::mix64(i);
+    ASSERT_TRUE(memo.record(key, value_of(key)));
+    recorded[DecisionMemo::partition_of(key)].push_back(key);
+    if (i % 512 == 0) {
+      check_window();
+    }
   }
-  EXPECT_EQ(recorded, max_records);
-  // Saturated: further records are refused, lookups of them miss — the
-  // caller just runs agreement itself, which is always sound.
-  const std::uint64_t overflow = detail::mix64(key);
-  EXPECT_FALSE(memo.record(overflow, 9));
-  EXPECT_FALSE(memo.lookup(overflow).has_value());
-  // Recorded keys still hit.
-  EXPECT_EQ(*memo.lookup(detail::mix64(std::uint64_t{1})), 7);
+  check_window();
+  // The oldest key has aged out; it can be recorded again, and then hits.
+  const std::uint64_t aged = recorded[0].front();
+  EXPECT_FALSE(memo.lookup(aged).has_value());
+  EXPECT_TRUE(memo.record(aged, 42));
+  EXPECT_FALSE(memo.record(aged, 43));
+  EXPECT_EQ(memo.lookup(aged), std::optional<Value>(42));
+}
+
+TEST(DecisionMemo, ConcurrentRecordersAcrossRotationsHaveOneWinnerPerKey) {
+  // 8 recorders race on the same keys, batch by batch, while 2 readers look
+  // keys up throughout. A batch gives every partition exactly the keys its
+  // generation takes, so each batch rotates every partition once and no
+  // key ages out while the batch that records it still runs: every key has
+  // exactly one winner, and every hit must return that winner's value.
+  constexpr int kRecorders = 8;
+  constexpr int kReaders = 2;
+  constexpr std::size_t kPerPartition = 8;
+  constexpr std::size_t kBatch = DecisionMemo::kPartitions * kPerPartition;
+  constexpr std::size_t kBatches = 24;
+  constexpr std::size_t kKeys = kBatch * kBatches;
+  DecisionMemo memo(kBatch);
+  ASSERT_EQ(memo.partition_window(), kPerPartition);
+  // Key n lands in partition n % kPartitions; its low bits are distinct.
+  const auto key_of = [](std::size_t n) {
+    return (std::uint64_t{n % DecisionMemo::kPartitions}
+            << (64 - DecisionMemo::kPartitionBits)) |
+           (detail::mix64(n) >> DecisionMemo::kPartitionBits) | 1;
+  };
+  const auto value_of = [](std::size_t n, int t) {
+    return static_cast<Value>(n * kRecorders + static_cast<std::size_t>(t));
+  };
+  std::vector<std::vector<std::size_t>> wins(kRecorders);
+  std::vector<std::vector<std::pair<std::size_t, Value>>> hits(kReaders);
+  std::atomic<std::size_t> recorded_upto{0};
+  std::atomic<bool> done{false};
+  std::barrier batch_end(kRecorders, [&]() noexcept {
+    recorded_upto.fetch_add(kBatch);
+  });
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kRecorders; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t b = 0; b < kBatches; ++b) {
+        // Each recorder walks the batch from its own offset.
+        for (std::size_t i = 0; i < kBatch; ++i) {
+          const std::size_t n =
+              b * kBatch + (i + static_cast<std::size_t>(t) * 61) % kBatch;
+          if (memo.record(key_of(n), value_of(n, t))) {
+            wins[static_cast<std::size_t>(t)].push_back(n);
+          }
+        }
+        batch_end.arrive_and_wait();
+      }
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      std::uint64_t rng = detail::mix64(static_cast<std::uint64_t>(r) + 1);
+      auto& mine = hits[static_cast<std::size_t>(r)];
+      while (!done.load() && mine.size() < 200000) {
+        rng = detail::mix64(rng);
+        // Keys of the batch being recorded and of every earlier one.
+        const std::size_t upto =
+            std::min(recorded_upto.load() + kBatch, kKeys);
+        const std::size_t n = rng % upto;
+        if (const auto hit = memo.lookup(key_of(n))) {
+          mine.emplace_back(n, *hit);
+        }
+      }
+    });
+  }
+  for (int t = 0; t < kRecorders; ++t) {
+    threads[static_cast<std::size_t>(t)].join();
+  }
+  done.store(true);
+  for (std::size_t i = kRecorders; i < threads.size(); ++i) {
+    threads[i].join();
+  }
+
+  std::vector<Value> winner(kKeys, kBottom);
+  std::vector<std::size_t> partition_wins(DecisionMemo::kPartitions, 0);
+  for (int t = 0; t < kRecorders; ++t) {
+    for (const std::size_t n : wins[static_cast<std::size_t>(t)]) {
+      ASSERT_EQ(winner[n], kBottom) << "key " << n << " won twice";
+      winner[n] = value_of(n, t);
+      ++partition_wins[DecisionMemo::partition_of(key_of(n))];
+    }
+  }
+  for (std::size_t n = 0; n < kKeys; ++n) {
+    ASSERT_NE(winner[n], kBottom) << "key " << n << " never recorded";
+  }
+  for (const std::size_t won : partition_wins) {
+    // A partition rotates on every record after each full generation.
+    EXPECT_GE((won - 1) / kPerPartition, 20u);
+  }
+  std::size_t hit_count = 0;
+  for (const auto& mine : hits) {
+    for (const auto& [n, value] : mine) {
+      ASSERT_EQ(value, winner[n]) << "key " << n;
+    }
+    hit_count += mine.size();
+  }
+  EXPECT_GT(hit_count, 0u);
+  EXPECT_LE(memo.size(), static_cast<std::int64_t>(2 * kBatch));
+}
+
+TEST(DecisionMemo, OversizedWindowIsRejected) {
+  EXPECT_THROW(DecisionMemo memo(SIZE_MAX), SimError);
+  EXPECT_THROW(DecisionMemo memo(0), SimError);
 }
 
 TEST(ShardedService, ReplayedRequestsShortCircuitToTheRecordedDecision) {
@@ -388,6 +526,33 @@ TEST(ShardedService, BadOptionsAreRejected) {
   opts = ServiceOptions{};
   opts.dedup_capacity = 0;
   EXPECT_THROW(ShardedService svc(opts), SimError);
+}
+
+TEST(ShardedService, OversizedDedupCapacityIsRejectedBeforeAnythingIsBuilt) {
+  // Above 2^40 the sizing rule would overflow: SIZE_MAX once spun forever
+  // in the memo's constructor.
+  for (const std::size_t capacity : {(std::size_t{1} << 40) + 1, SIZE_MAX}) {
+    ServiceOptions opts = fast_options(1);
+    opts.dedup_capacity = capacity;
+    try {
+      ShardedService svc(opts);
+      FAIL() << "dedup_capacity " << capacity << " accepted";
+    } catch (const SimError& e) {
+      EXPECT_NE(std::string(e.what()).find("ServiceOptions::dedup_capacity"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ShardedService, StatsCarryTheAffinityProbeOutcome) {
+  bool probe_ok = false;
+  static_cast<void>(usable_cpus(&probe_ok));
+  ShardedService svc(fast_options(2));
+  svc.stop();
+  for (const ShardStats& st : svc.stats()) {
+    EXPECT_EQ(st.affinity_probe_ok, probe_ok) << "shard " << st.shard;
+  }
 }
 
 TEST(ShardedService, StatsBeforeStopThrows) {

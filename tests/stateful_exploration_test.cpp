@@ -14,7 +14,9 @@
 //     on resume).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <span>
 #include <string>
 
@@ -194,6 +196,27 @@ TEST(StatefulExploration, TinyCapacityStaysSound) {
   EXPECT_EQ(st.ok(), plain.ok());
   EXPECT_EQ(st.complete, plain.complete);
   EXPECT_LE(st.executions, plain.executions);
+}
+
+TEST(StatefulExploration, OversizedCapacityIsRejectedNotHung) {
+  // Above 2^40 keys the visited set's sizing rule would overflow:
+  // INT64_MAX once spun forever building the table.
+  const ExecutionBody body = mixed_body(2);
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  for (const std::int64_t capacity : {(std::int64_t{1} << 40) + 1, kMax}) {
+    Explorer::Options opts;
+    opts.stateful = true;
+    opts.stateful_capacity = capacity;
+    try {
+      Explorer::explore(body, opts);
+      FAIL() << "capacity " << capacity << " accepted";
+    } catch (const SimError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "Explorer::Options::stateful_capacity"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(StatefulExploration, OptionsAreValidated) {
