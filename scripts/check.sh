@@ -95,7 +95,12 @@ if [[ "${PERF_SMOKE}" == "1" ]]; then
   fi
   cmake -B build-release -G Ninja -DCMAKE_BUILD_TYPE=Release
   cmake --build build-release --target bench_f4_micro
-  mkdir -p bench-results
+  # The short gate runs write their BENCH_<ID>.json into a scratch dir, so
+  # the checked-in bench-results/ stay full-length artifacts and the tree
+  # stays clean.
+  ROOT="$(pwd)"
+  SMOKE_DIR="$(mktemp -d)"
+  trap 'rm -rf "${SMOKE_DIR}"' EXIT
   extract_field() {
     # Pull a numeric field out of a flat JSON line (values may be printed
     # in scientific notation). $1 = field name, $2 = file.
@@ -109,12 +114,12 @@ if [[ "${PERF_SMOKE}" == "1" ]]; then
   for i in 1 2 3; do
     # stdout/stderr silenced (google-benchmark notes it matched nothing);
     # a non-zero exit still aborts via set -e.
-    (cd bench-results && ../build-release/bench/bench_f4_micro \
+    (cd "${SMOKE_DIR}" && "${ROOT}/build-release/bench/bench_f4_micro" \
         --benchmark_filter='^$' >/dev/null 2>&1)
     FIBER_RATE="$(extract_field serial_executions_per_sec \
-        bench-results/BENCH_F4.json)"
+        "${SMOKE_DIR}/BENCH_F4.json")"
     STEPPED_RATE="$(extract_field stepped_serial_executions_per_sec \
-        bench-results/BENCH_F4.json)"
+        "${SMOKE_DIR}/BENCH_F4.json")"
     echo "perf-smoke: run ${i}: fiber ${FIBER_RATE} exec/s, stepped ${STEPPED_RATE} exec/s"
     BEST_FIBER="$(awk -v a="${BEST_FIBER}" -v b="${FIBER_RATE}" \
         'BEGIN { print (a + 0 > b + 0) ? a + 0 : b + 0 }')"
@@ -149,8 +154,9 @@ if [[ "${PERF_SMOKE}" == "1" ]]; then
     exit 2
   fi
   cmake --build build-release --target bench_f5_statespace
-  (cd bench-results && ../build-release/bench/bench_f5_statespace >/dev/null)
-  F5_FACTOR="$(extract_field best_mixed_factor bench-results/BENCH_F5.json)"
+  (cd "${SMOKE_DIR}" && "${ROOT}/build-release/bench/bench_f5_statespace" \
+      >/dev/null)
+  F5_FACTOR="$(extract_field best_mixed_factor "${SMOKE_DIR}/BENCH_F5.json")"
   F5_BASE="$(extract_field best_mixed_factor "${F5_BASELINE}")"
   echo "perf-smoke: stateful best mixed-cell factor ${F5_FACTOR}x vs baseline ${F5_BASE}x"
   if ! awk -v c="${F5_FACTOR}" -v b="${F5_BASE}" \
@@ -164,24 +170,20 @@ if [[ "${PERF_SMOKE}" == "1" ]]; then
   # baseline. Absolute per-configuration throughput is the portable signal —
   # wall-clock scaling across shards is gated inside the bench itself, and
   # only on hosts with >= 8 usable cores (the bench stamps the measured
-  # ratio everywhere). Short runs land in a scratch dir so the checked-in
-  # bench-results/BENCH_F8.json stays a full-length artifact.
+  # ratio everywhere). Short runs land in the scratch dir too.
   F8_BASELINE="scripts/perf_baseline/BENCH_F8.json"
   if [[ ! -f "${F8_BASELINE}" ]]; then
     echo "perf-smoke: missing baseline ${F8_BASELINE}" >&2
     exit 2
   fi
   cmake --build build-release --target bench_f8_soak
-  ROOT="$(pwd)"
-  F8_SCRATCH="$(mktemp -d)"
-  trap 'rm -rf "${F8_SCRATCH}"' EXIT
   BEST_1SHARD=0
   BEST_4SHARD=0
   for i in 1 2; do
-    (cd "${F8_SCRATCH}" && "${ROOT}/build-release/bench/bench_f8_soak" \
+    (cd "${SMOKE_DIR}" && "${ROOT}/build-release/bench/bench_f8_soak" \
         0 2 10 >/dev/null)
-    RATE_1="$(extract_field soak_ops_per_sec_1shard "${F8_SCRATCH}/BENCH_F8.json")"
-    RATE_4="$(extract_field soak_ops_per_sec_4shard "${F8_SCRATCH}/BENCH_F8.json")"
+    RATE_1="$(extract_field soak_ops_per_sec_1shard "${SMOKE_DIR}/BENCH_F8.json")"
+    RATE_4="$(extract_field soak_ops_per_sec_4shard "${SMOKE_DIR}/BENCH_F8.json")"
     echo "perf-smoke: run ${i}: service 1-shard ${RATE_1} ops/s, 4-shard ${RATE_4} ops/s"
     BEST_1SHARD="$(awk -v a="${BEST_1SHARD}" -v b="${RATE_1}" \
         'BEGIN { print (a + 0 > b + 0) ? a + 0 : b + 0 }')"
@@ -364,15 +366,18 @@ cmake --build build-ubsan
 
 ctest --test-dir build-ubsan --output-on-failure --timeout "${CTEST_TIMEOUT}"
 
-# --- ThreadSanitizer: guard the parallel explorer's work queue and -------
-# cancellation paths (and the fiber layer's TSan integration).
+# --- ThreadSanitizer: guard the parallel explorer's work queue, -----------
+# cancellation paths and source-set reports (units hand their demands on
+# the decisions above their roots back to the enumerating thread), and the
+# fiber layer's TSan integration.
 cmake -B build-tsan -G Ninja \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer -g -O1" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build build-tsan --target fiber_test explorer_test \
-  parallel_explorer_test reduction_test sharded_service_test
+  parallel_explorer_test reduction_test checkpoint_resume_test \
+  equivalence_pin_test sharded_service_test
 for t in fiber_test explorer_test parallel_explorer_test reduction_test \
-    sharded_service_test; do
+    checkpoint_resume_test equivalence_pin_test sharded_service_test; do
   echo "== tsan: ${t}"
   "build-tsan/tests/${t}"
 done

@@ -10,7 +10,7 @@
 //    "step_quota":Q,"reduction":"sleep","stateful":false}
 //   {"kind":"state","executions":N,"pruned":N,"reduced":N,"crashed":N,
 //    "stuck":N,"stateful_cuts":N,"done":false,"complete":false,
-//    "prefix":"0/3/7/0/0 x1/4/0/0/1"}
+//    "prefix":"0/3/7/0/0/0/0/0 1/4/0/0/1/0/0/-"}
 //
 // `Explorer::resume(body, path, opts)` reloads a snapshot and continues the
 // search from the watermark, producing the bit-identical final `Result` an
@@ -18,13 +18,16 @@
 // atomically (temp file + rename, with a bounded retry on transient
 // filesystem failure), so a crash mid-write leaves the previous snapshot
 // intact. Decision strings are encoded one token per decision,
-// "chosen/arity/enabled/sleep/crashflag/recoverflag", preserving the
-// reduction metadata and crash/recovery flags replay depends on — this is
-// also the wire format the distributed-sharding roadmap item will ship work
-// units in. Five-field tokens from pre-recovery snapshots read back with
-// recoverflag = 0.
+// "chosen/arity/enabled/sleep/crashflag/recoverflag/explored/list",
+// preserving the reduction metadata, crash/recovery flags and source-set
+// backtrack lists replay and backtracking depend on. `list` holds one hex
+// digit per listed option in insertion order, or "-" for a full-branching
+// decision. Five-field tokens from pre-recovery snapshots read back with
+// recoverflag = 0; five- and six-field tokens from before source sets read
+// back as full-branching decisions.
 #pragma once
 
+#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
@@ -94,7 +97,8 @@ struct ExplorerSnapshot {
 };
 
 /// Renders a decision string as snapshot tokens
-/// ("chosen/arity/enabled/sleep/crashflag/recoverflag", space-separated).
+/// ("chosen/arity/enabled/sleep/crashflag/recoverflag/explored/list",
+/// space-separated).
 inline std::string encode_decisions(
     std::span<const ReplayDriver::Decision> trace) {
   std::string out;
@@ -113,6 +117,15 @@ inline std::string encode_decisions(
     out += trace[i].crash ? '1' : '0';
     out += '/';
     out += trace[i].recover ? '1' : '0';
+    out += '/';
+    out += std::to_string(trace[i].explored);
+    out += '/';
+    if (trace[i].listed == 0) {
+      out += '-';
+    }
+    for (std::uint8_t k = 0; k < trace[i].listed; ++k) {
+      out += "0123456789abcdef"[trace[i].list[k]];
+    }
   }
   return out;
 }
@@ -163,7 +176,40 @@ inline std::vector<ReplayDriver::Decision> decode_decisions(
       d.recover = *p == '1';
       ++p;
     }
-    if (d.arity < 1 || d.chosen >= d.arity) {
+    if (*p == '/') {
+      // Source-set fields: the explored set and the backtrack list.
+      d.explored = std::strtoull(p + 1, &after, 10);
+      expect_slash(after);
+      p = after + 1;
+      if (*p == '-') {
+        ++p;
+      }
+      while (std::isxdigit(static_cast<unsigned char>(*p)) != 0) {
+        if (d.listed == ReplayDriver::kMaxListed) {
+          throw SimError("decode_decisions: backtrack list too long in: " +
+                         text);
+        }
+        const char c = *p++;
+        d.list[d.listed++] = static_cast<std::uint8_t>(
+            c <= '9' ? c - '0' : std::tolower(c) - 'a' + 10);
+      }
+    }
+    // A backtrack list holds distinct options of a decision with at most
+    // kMaxListed of them, the chosen one among them.
+    bool listed_ok = d.listed == 0;
+    std::uint32_t seen = 0;
+    for (std::uint8_t k = 0; k < d.listed; ++k) {
+      listed_ok = listed_ok || d.list[k] == d.chosen;
+      if (d.list[k] >= d.arity || (seen >> d.list[k] & 1) != 0) {
+        listed_ok = false;
+        break;
+      }
+      seen |= std::uint32_t{1} << d.list[k];
+    }
+    if (d.listed > 0 && d.arity > ReplayDriver::kMaxListed) {
+      listed_ok = false;
+    }
+    if (d.arity < 1 || d.chosen >= d.arity || !listed_ok) {
       throw SimError("decode_decisions: inconsistent decision in: " + text);
     }
     out.push_back(d);

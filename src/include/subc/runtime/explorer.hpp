@@ -81,8 +81,13 @@ enum class Reduction : std::uint8_t {
   /// Sleep sets over the per-step access footprints (scheduler.hpp): after
   /// the subtree where process p steps at a decision point is explored, p
   /// sleeps at the later siblings and stays asleep below them until some
-  /// step *dependent* on p's pending step runs. Sound: a violation is found
-  /// iff the unreduced search finds one (docs/explorer.md).
+  /// step *dependent* on p's pending step runs. Searches with no visited
+  /// set, prune hook or crash/recovery budget add source sets (POPL 2014's
+  /// Algorithm 1): a scheduling decision enters only the options the races
+  /// of earlier runs call for, so far fewer worlds are built only to be
+  /// cut. Either way one execution per Mazurkiewicz trace. Sound: a
+  /// violation is found iff the unreduced search finds one
+  /// (docs/explorer.md).
   kSleepSets,
 };
 
@@ -215,10 +220,11 @@ class Explorer {
     std::int64_t executions = 0;
     /// Subtrees skipped by `Options::prune` (0 when no hook installed).
     std::int64_t pruned_subtrees = 0;
-    /// Scheduling options the partial-order reduction proved redundant and
-    /// skipped (0 under `Reduction::kNone`). Like `pruned_subtrees`, these
-    /// consume no `max_executions` budget and are bit-identical at every
-    /// thread count.
+    /// Scheduling options the partial-order reduction never entered at the
+    /// decisions the search visited (0 under `Reduction::kNone`): asleep
+    /// options, and under source sets the options no race called for.
+    /// Like `pruned_subtrees`, these consume no `max_executions` budget and
+    /// are bit-identical at every thread count.
     std::int64_t reduced_subtrees = 0;
     /// Subtrees skipped by stateful exploration (`Options::stateful`): the
     /// (world-state, sleep-set) pair at the decision point had already been

@@ -96,7 +96,9 @@ class TraceObserver {
 
   /// The search skipped `subtrees` redundant subtrees since the previous
   /// event (partial-order reduction / pruning metadata; emitted by the
-  /// explorer, not by individual runs). Telemetry only.
+  /// explorer, not by individual runs). Negative when source sets enter
+  /// options they had counted as never entered; the running sum equals
+  /// `Result::reduced_subtrees`. Telemetry only.
   virtual void on_reduced(std::int64_t /*subtrees*/) {}
 
   /// Stateful exploration (Explorer::Options::stateful) cut `cuts` subtrees
@@ -242,7 +244,10 @@ class ProgressTicker final : public TraceObserver {
   explicit ProgressTicker(double period_seconds = 2.0,
                           std::ostream* out = nullptr);
 
+  void on_run_begin(int num_processes) override;
   void on_run_end(std::int64_t total_steps, bool quiescent) override;
+  /// Counts the violating execution too, unless its runtime already ended
+  /// (and was counted) on this thread: the body's post-run check threw.
   void on_violation(std::string_view message) override;
   void on_reduced(std::int64_t subtrees) override;
   void on_stateful_cut(std::int64_t cuts) override;

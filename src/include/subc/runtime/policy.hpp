@@ -114,7 +114,8 @@ class DelayBoundedPolicy final : public SchedulePolicy {
 };
 
 /// Crash-failure adversary over an arbitrary inner policy. Scheduling and
-/// object choices are delegated (a `kCut` answer passes through); the
+/// object choices are delegated (a `kCut` answer passes through, and
+/// `on_fault` and `stopped` are forwarded); the
 /// decorator only answers `crash_requests` (injecting at most `f` crashes
 /// per run) and, when a restart model is attached, `recovery_requests`
 /// (restarting crashed processes at adversary-chosen later points).
@@ -176,6 +177,8 @@ class CrashAdversary final : public SchedulePolicy {
   std::uint64_t recovery_requests(std::span<const int> crashed) override;
   [[nodiscard]] bool wants_recovery() const override;
   void begin_run() override;
+  void on_fault() override { inner_->on_fault(); }
+  [[nodiscard]] bool stopped() const override { return inner_->stopped(); }
 
   /// Attaches a targeted restart plan. Validated with the same rigor as the
   /// crash plan: a victim outside [0, 64), a negative `after_steps`, or a
@@ -250,6 +253,8 @@ class RecordingPolicy final : public SchedulePolicy {
     return inner_->wants_recovery();
   }
   void begin_run() override;
+  void on_fault() override { inner_->on_fault(); }
+  [[nodiscard]] bool stopped() const override { return inner_->stopped(); }
 
   [[nodiscard]] const std::vector<Event>& journal() const noexcept {
     return journal_;

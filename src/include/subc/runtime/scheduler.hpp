@@ -26,6 +26,7 @@
 // partial-order reduction recognise commuting steps (docs/explorer.md).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <random>
@@ -142,6 +143,17 @@ class SchedulePolicy {
   /// world fingerprint. Lets a policy spanning several runtimes in one
   /// execution chain completed-runtime state into later probes.
   virtual void on_run_fp(std::uint64_t /*fp*/, bool /*valid*/) {}
+
+  /// Reported by the kernel whenever a crash or a restart lands during a
+  /// run, whoever asked for it. Decorators forward it to the policy they
+  /// wrap; the explorer's driver uses it to stop reducing on that run.
+  virtual void on_fault() {}
+
+  /// True once the policy has stopped the run, i.e. it answers `kCut` to
+  /// every further `pick`. The kernel asks only at a decision point where
+  /// nobody is runnable and only crashed processes wait for a restart: no
+  /// pick follows there to carry the cut. Decorators forward it.
+  [[nodiscard]] virtual bool stopped() const { return false; }
 };
 
 /// Historical name for `SchedulePolicy`, kept so existing worlds and tests
@@ -217,8 +229,12 @@ struct StuckCut {};
 /// provably commutes with an already-explored sibling branch) are skipped,
 /// and partial executions with every enabled process asleep are cut
 /// (`Cut::kSleep`). The skip metadata (`Decision::enabled`,
-/// `Decision::sleep`) is recorded in the trace so the explorer's
-/// backtracking applies identical skips.
+/// `Decision::sleep`, `Decision::explored`) is recorded in the trace so the
+/// explorer's backtracking applies identical skips. With `set_source_sets`
+/// as well, fresh scheduling decisions open a backtrack list holding only
+/// the option taken, and the driver logs every granted step
+/// (`set_step_log`) so the explorer can add the options that races call
+/// for (docs/explorer.md).
 ///
 /// Cuts are answers, not throws: the driver answers `kCut` at the decision
 /// point where it abandons the execution and records why in `cut()`. Once
@@ -226,7 +242,8 @@ struct StuckCut {};
 /// answers `kCut` to every `pick`, 0 to `choose`, `crash_requests` and
 /// `recovery_requests`, and ignores `on_state_fp`. A cut raised outside
 /// `pick` (stateful probe, crash or recovery decision) therefore takes
-/// effect at the next `pick`.
+/// effect at the next `pick` — or, where nobody is runnable, through
+/// `stopped()`.
 class ReplayDriver final : public SchedulePolicy {
  public:
   /// Why the driver abandoned its execution.
@@ -237,6 +254,10 @@ class ReplayDriver final : public SchedulePolicy {
     kPrune,     ///< the prune hook rejected a fresh decision
     kFrontier,  ///< a fresh decision would exceed the decision limit
   };
+
+  /// Longest backtrack list a decision can hold. Scheduling decisions with
+  /// more options keep full branching.
+  static constexpr std::size_t kMaxListed = 16;
 
   struct Decision {
     std::uint32_t chosen = 0;
@@ -258,6 +279,24 @@ class ReplayDriver final : public SchedulePolicy {
     /// like `crash`, so replay re-derives the restart without knowing the
     /// recording run's recovery budget.
     bool recover = false;
+    /// Source sets: the backtrack list, option indices in insertion order
+    /// (the search visits them in that order). `listed == 0` means full
+    /// branching: every awake option, in index order.
+    std::uint8_t listed = 0;
+    /// Listed decisions: pids of the options entered before `chosen`; with
+    /// `sleep` they form the sleep set the chosen subtree inherits. (A
+    /// full-branching decision has entered every option below `chosen`.)
+    std::uint64_t explored = 0;
+    std::array<std::uint8_t, kMaxListed> list{};
+  };
+
+  /// One granted step, as the source-set race analysis reads it.
+  struct Step {
+    /// The granted pid; -1 marks the start of a later Runtime's steps.
+    std::int32_t pid = -1;
+    /// Trace index of the decision that granted it; -1 when forced.
+    std::int32_t decision = -1;
+    Access access;
   };
 
   /// Prune hook: given the partial decision string ending at a candidate
@@ -268,7 +307,7 @@ class ReplayDriver final : public SchedulePolicy {
 
   ReplayDriver() = default;
   explicit ReplayDriver(std::vector<Decision> prefix)
-      : trace_(std::move(prefix)) {}
+      : trace_(std::move(prefix)), prefix_(trace_.size()) {}
 
   std::size_t pick(std::span<const int> enabled,
                    std::span<const Access> footprints = {}) override;
@@ -276,6 +315,9 @@ class ReplayDriver final : public SchedulePolicy {
   std::uint64_t crash_requests(std::span<const int> enabled) override;
   std::uint64_t recovery_requests(std::span<const int> crashed) override;
   void begin_run() override {
+    if (steps_log_ != nullptr) {
+      steps_log_->push_back(Step{});  // later runtimes step after earlier
+    }
     sleep_ = 0;
     crashes_run_ = 0;
     crash_floor_ = 0;
@@ -302,6 +344,8 @@ class ReplayDriver final : public SchedulePolicy {
   }
   void on_state_fp(std::uint64_t fp, bool valid) override;
   void on_run_fp(std::uint64_t fp, bool valid) override;
+  void on_fault() override { faulted_ = true; }
+  [[nodiscard]] bool stopped() const override { return cut_ != Cut::kNone; }
 
   /// Full decision string of the execution driven so far.
   [[nodiscard]] const std::vector<Decision>& trace() const noexcept {
@@ -328,6 +372,28 @@ class ReplayDriver final : public SchedulePolicy {
   /// Enables sleep-set partial-order reduction for fresh scheduling
   /// decisions. Off by default (raw enumeration).
   void set_reduction(bool on) noexcept { reduce_ = on; }
+
+  /// Source sets on top of the sleep sets: a fresh scheduling decision with
+  /// at most `kMaxListed` options and reduction metadata opens a backtrack
+  /// list holding only its first awake option. Needs `set_reduction(true)`.
+  void set_source_sets(bool on) noexcept { source_sets_ = on; }
+
+  /// Logs every granted step into `log` (appended; the caller clears it),
+  /// with a `Step{}` marker at each `begin_run`. Pass nullptr (the default)
+  /// to disable.
+  void set_step_log(std::vector<Step>* log) noexcept { steps_log_ = log; }
+
+  /// Index into the step log of the first step the replayed prefix did not
+  /// fix: the steps from here on ran for the first time at this point of
+  /// the tree. The log's size when the prefix was never used up.
+  [[nodiscard]] std::size_t fresh_from() const noexcept {
+    return fresh_from_ != kUnset                   ? fresh_from_
+           : prefix_ == 0 || steps_log_ == nullptr ? 0
+                                                   : steps_log_->size();
+  }
+
+  /// True once a crash or restart landed in the execution (`on_fault`).
+  [[nodiscard]] bool faulted() const noexcept { return faulted_; }
 
   /// Makes crash failures a branch point: at every kernel decision point
   /// where fewer than `f` crashes have landed in the current run, the tree
@@ -377,6 +443,12 @@ class ReplayDriver final : public SchedulePolicy {
 
  private:
   std::uint32_t next_choice(std::uint32_t arity);
+  /// Marks where fresh steps begin once the last prefix decision is used.
+  void note_prefix_used() noexcept {
+    if (pos_ == trace_.size() && fresh_from_ == kUnset) {
+      fresh_from_ = steps_log_ != nullptr ? steps_log_->size() : 0;
+    }
+  }
   /// Records `why` and returns the answer that stops the run.
   std::uint32_t raise_cut(Cut why) noexcept {
     cut_ = why;
@@ -384,11 +456,17 @@ class ReplayDriver final : public SchedulePolicy {
   }
 
   std::vector<Decision> trace_;
+  std::size_t prefix_ = 0;  ///< decisions fixed by the constructor's prefix
   std::size_t pos_ = 0;
   Cut cut_ = Cut::kNone;
   std::size_t limit_ = static_cast<std::size_t>(-1);
   const PruneFn* prune_ = nullptr;
   bool reduce_ = false;
+  bool source_sets_ = false;
+  bool faulted_ = false;
+  static constexpr std::size_t kUnset = static_cast<std::size_t>(-1);
+  std::vector<Step>* steps_log_ = nullptr;
+  std::size_t fresh_from_ = kUnset;
   std::uint64_t sleep_ = 0;
   std::int64_t reduced_ = 0;
   int max_crashes_ = 0;

@@ -20,6 +20,7 @@
 #include "subc/runtime/hashing.hpp"
 #include "subc/runtime/observer.hpp"
 #include "subc/runtime/value.hpp"
+#include "source_sets.hpp"
 
 namespace subc {
 namespace {
@@ -154,6 +155,8 @@ class BudgetScope {
 // reduction skips that occurred at (and, in the frontier enumeration, while
 // advancing past) it, so that tallies truncated at a winning violation stay
 // exact.
+struct UnitRecord;
+
 struct EventMeta {
   enum class Kind { kExecution, kPruned, kSkip, kStateful, kUnit };
   Kind kind = Kind::kExecution;
@@ -161,6 +164,7 @@ struct EventMeta {
   bool crashed = false;    ///< kExecution: >= 1 crash landed in the execution
   bool recovered = false;  ///< kExecution: >= 1 recovery landed
   bool stuck = false;      ///< kExecution: cut by the step-quota watchdog
+  UnitRecord* unit = nullptr;  ///< kUnit in the parallel search: its record
 };
 
 // The tallies every search reports, summed the same way wherever they meet:
@@ -253,10 +257,21 @@ struct SubtreeStats {
   /// if any.
   std::optional<std::string> stuck_message;
   std::vector<Decision> stuck_trace;
+  /// Backtrack demands on decisions above the subtree's root, in DFS order.
+  std::vector<detail::Backtrack> above;
   /// True when the subtree was fully explored or stopped at its own (first)
   /// violation — false only on cancellation or budget exhaustion.
   bool finished = false;
 };
+
+// Source sets replace full branching at scheduling decisions in sleep-set
+// searches that keep no visited set, consult no prune hook and branch on no
+// crash or restart: those all decide which subtrees exist or count beyond
+// the races of the runs themselves.
+bool source_sets(const Explorer::Options& opts) {
+  return opts.reduction == Reduction::kSleepSets && !opts.stateful &&
+         !opts.prune && opts.max_crashes == 0 && opts.max_recoveries == 0;
+}
 
 std::string stuck_message_for(std::int64_t quota) {
   return "stuck execution: step quota (" + std::to_string(quota) +
@@ -302,32 +317,57 @@ struct SerialCheckpoint {
 // crash is dependent with the victim's own pending step), so they are never
 // skipped here.
 bool option_asleep(const Decision& d, std::uint32_t chosen) {
-  if (d.enabled == 0) {
+  return (d.sleep & detail::option_bit(d, chosen)) != 0;
+}
+
+// The decision `d` moved to the option at list position `at`: DFS order at
+// a listed decision is insertion order, so the options listed before it
+// were entered before it and join the sleep set below it.
+Decision listed_option(Decision d, std::uint8_t at) {
+  d.explored = 0;
+  for (std::uint8_t k = 0; k < at; ++k) {
+    d.explored |= detail::option_bit(d, d.list[k]);
+  }
+  d.chosen = d.list[at];
+  return d;
+}
+
+// Moves a listed decision to its next listed option; false when none is
+// left.
+bool next_listed(Decision& d) {
+  std::uint8_t at = 0;
+  while (d.list[at] != d.chosen) {
+    ++at;
+  }
+  if (at + 1 >= d.listed) {
     return false;
   }
-  // Pid of the chosen option = position of its (chosen-th) set bit.
-  std::uint64_t rest = d.enabled;
-  for (std::uint32_t c = 0; c < chosen; ++c) {
-    rest &= rest - 1;  // clear lowest set bit
-  }
-  const std::uint64_t bit = rest & ~(rest - 1);  // lowest remaining
-  return (d.sleep & bit) != 0;
+  d = listed_option(d, static_cast<std::uint8_t>(at + 1));
+  return true;
 }
 
 // Advances `trace` to the next DFS prefix inside the subtree whose first
 // `floor` decisions are fixed: bump the deepest decision that still has
-// unexplored options, dropping everything after it. Options asleep under
-// the recorded reduction metadata are skipped (counted in `reduced`), and
-// `prune` is consulted on every surviving candidate prefix (its subtree is
-// skipped and counted when rejected). Returns false when the subtree is
-// exhausted.
+// unexplored options, dropping everything after it. A listed decision
+// offers the next option of its backtrack list, taking back the `reduced`
+// count its driver made for it. At a full-branching decision, options
+// asleep under the recorded reduction metadata are skipped (counted in
+// `reduced`), and `prune` is consulted on every surviving candidate prefix
+// (its subtree is skipped and counted when rejected). Returns false when
+// the subtree is exhausted.
 bool advance(std::vector<Decision>& trace, std::size_t floor,
              const Explorer::PruneFn& prune, std::int64_t& pruned,
              std::int64_t& reduced) {
   std::size_t i = trace.size();
   while (i > floor) {
     Decision& d = trace[i - 1];
-    if (d.chosen + 1 < d.arity) {
+    if (d.listed > 0) {
+      if (next_listed(d)) {
+        --reduced;  // counted as never entered when the decision was made
+        trace.resize(i);
+        return true;
+      }
+    } else if (d.chosen + 1 < d.arity) {
       ++d.chosen;
       if (option_asleep(d, d.chosen)) {
         ++reduced;
@@ -374,10 +414,15 @@ std::optional<std::string> run_driven(const ExecutionBody& body,
 // (the frontier enumeration adds its decision limit).
 ReplayDriver make_driver(std::vector<Decision> prefix,
                          const Explorer::Options& opts,
-                         const SearchState& state) {
+                         const SearchState& state,
+                         detail::RaceAnalysis* races) {
   ReplayDriver driver(std::move(prefix));
   driver.set_prune(opts.prune ? &opts.prune : nullptr);
   driver.set_reduction(opts.reduction == Reduction::kSleepSets);
+  if (races != nullptr) {
+    driver.set_source_sets(true);
+    driver.set_step_log(&races->log());
+  }
   driver.set_max_crashes(opts.max_crashes);
   driver.set_max_recoveries(opts.max_recoveries);
   driver.set_step_quota(opts.step_quota);
@@ -436,12 +481,14 @@ Attempt attempt(const ExecutionBody& body, ReplayDriver& driver,
 }
 
 // Restart-DFS over the subtree rooted at `prefix` (decisions below `floor`
-// are fixed). Stops at the subtree's first violation — the lexicographically
-// least one, since DFS visits decision strings in lexicographic order — on
-// budget exhaustion, or when a canonically earlier work unit has already
-// reported a violation (nothing in this subtree can win then). When `cp` is
-// non-null (serial top-level search only) the loop periodically snapshots
-// (tallies, next prefix) to the checkpoint file.
+// are fixed). Stops at the subtree's first violation in DFS order — options
+// in index order at a full-branching decision, in insertion order at a
+// listed one — on budget exhaustion, or when a canonically earlier work
+// unit has already reported a violation (nothing in this subtree can win
+// then). Under source sets each run's races extend the backtrack lists;
+// those on decisions above `floor` go back to the caller in `above`. When
+// `cp` is non-null (serial top-level search only) the loop periodically
+// snapshots (tallies, next prefix) to the checkpoint file.
 SubtreeStats explore_subtree(const ExecutionBody& body,
                              std::vector<Decision> prefix, std::size_t floor,
                              const Explorer::Options& opts, SearchState& state,
@@ -450,6 +497,8 @@ SubtreeStats explore_subtree(const ExecutionBody& body,
   SubtreeStats stats;
   Tally& tally = stats.tally;
   BudgetScope budget(state);
+  detail::RaceAnalysis analysis;
+  detail::RaceAnalysis* races = source_sets(opts) ? &analysis : nullptr;
   for (;;) {
     if (state.log.best_index() < my_index) {
       return stats;  // cancelled; these tallies will be discarded
@@ -458,13 +507,18 @@ SubtreeStats explore_subtree(const ExecutionBody& body,
       return stats;  // budget finally exhausted (`finished` stays false)
     }
     const std::int64_t reduced_before = tally.reduced;
-    ReplayDriver driver = make_driver(std::move(prefix), opts, state);
+    ReplayDriver driver = make_driver(std::move(prefix), opts, state, races);
     Attempt run = attempt(body, driver, opts);
     tally.add(run.event);
     if (run.event.kind == EventMeta::Kind::kExecution) {
       budget.consume();
     }
+    const std::size_t fresh_from = driver.fresh_from();
+    const bool faulted = driver.faulted();
     std::vector<Decision> trace = driver.take_trace();
+    if (races != nullptr) {
+      races->run(fresh_from, faulted, trace, floor, stats.above);
+    }
     if (run.violation) {
       stats.violation = std::move(run.violation);
       stats.trace = std::move(trace);
@@ -477,7 +531,7 @@ SubtreeStats explore_subtree(const ExecutionBody& body,
     }
     const bool more =
         advance(trace, floor, opts.prune, tally.pruned, tally.reduced);
-    if (opts.observer != nullptr && tally.reduced > reduced_before) {
+    if (opts.observer != nullptr && tally.reduced != reduced_before) {
       opts.observer->on_reduced(tally.reduced - reduced_before);
     }
     if (!more) {
@@ -562,6 +616,15 @@ Explorer::Result finish_serial(SubtreeStats stats) {
 // completes). Canonical aggregation afterwards walks the emission sequence
 // in order, truncating at the winning violation, so every reported tally is
 // bit-identical to the serial explorer's regardless of thread timing.
+//
+// Under source sets the enumerator is a walker that never runs ahead of the
+// backtrack lists: it runs each of its own frontier units inline, and
+// applies a unit's demands on the decisions above its root (its `above`
+// list) before advancing, so those lists grow in serial DFS order. An option
+// such a demand adds is pushed as a unit at once — its subtree and sleep
+// set depend only on the options listed before it — and the walker, on
+// reaching it in DFS order, waits for it (running queued units meanwhile)
+// and applies its demands in turn.
 Explorer::Result explore_parallel(const ExecutionBody& body,
                                   const Explorer::Options& opts, int threads,
                                   std::vector<Decision> initial_prefix,
@@ -578,6 +641,7 @@ Explorer::Result explore_parallel(const ExecutionBody& body,
                                 ? static_cast<std::size_t>(opts.frontier_depth)
                                 : auto_frontier_depth(threads);
   const bool checkpointing = !opts.checkpoint_path.empty();
+  const bool sources = source_sets(opts);
 
   std::vector<EventMeta> events;        // producer-only until workers join
   std::deque<UnitRecord> unit_records;  // deque: grows with stable addresses
@@ -586,26 +650,35 @@ Explorer::Result explore_parallel(const ExecutionBody& body,
   std::condition_variable qcv;
   bool producer_done = false;  // guarded by qmu
   bool producer_finished_tree = false;
+  std::mutex done_mu;  // with done_cv: the walker waits for a pushed unit
+  std::condition_variable done_cv;
 
   const auto process_item = [&](WorkItem item) {
     UnitRecord& rec = *item.record;
     // Units arrive in canonical order; once a violation beats this unit it
     // beats every later one too, so skip without exploring (the zeroed
-    // stats slot sits beyond the winner during aggregation anyway).
+    // stats slot sits beyond the winner during aggregation anyway). Units
+    // pushed for source-set options carry no index yet: the walker files
+    // their verdicts when it reaches them, and any verdict filed before
+    // then precedes them.
     if (state.log.best_index() >= item.event_index) {
       const std::size_t floor = item.prefix.size();
       rec.stats = explore_subtree(body, std::move(item.prefix), floor, opts,
                                   state, item.event_index);
-      if (rec.stats.violation) {
+      if (rec.stats.violation && !sources) {
         state.log.report(item.event_index, *rec.stats.violation,
                          rec.stats.trace);
       }
-      if (rec.stats.stuck_message) {
+      if (rec.stats.stuck_message && !sources) {
         state.stuck_log.report(item.event_index, *rec.stats.stuck_message,
                                rec.stats.stuck_trace);
       }
     }
-    rec.done.store(true, std::memory_order_release);
+    {
+      const std::lock_guard<std::mutex> lk(done_mu);
+      rec.done.store(true, std::memory_order_release);
+    }
+    done_cv.notify_all();
   };
 
   const auto worker_loop = [&]() {
@@ -647,19 +720,17 @@ Explorer::Result explore_parallel(const ExecutionBody& body,
       [&](const std::vector<Decision>& producer_next) {
         ExplorerSnapshot s = proto;
         Tally progress = tally_of(s);
-        std::size_t u = 0;
         const std::vector<Decision>* next = nullptr;
         std::size_t watermark = events.size();
         for (std::size_t i = 0; i < events.size(); ++i) {
           const EventMeta& ev = events[i];
-          if (ev.kind == EventMeta::Kind::kUnit) {
-            UnitRecord& rec = unit_records[u++];
-            if (!rec.done.load(std::memory_order_acquire)) {
-              next = &rec.prefix;
+          if (ev.unit != nullptr) {
+            if (!ev.unit->done.load(std::memory_order_acquire)) {
+              next = &ev.unit->prefix;
               watermark = i;
               break;
             }
-            progress += rec.stats.tally;
+            progress += ev.unit->stats.tally;
           }
           progress.add(ev);
         }
@@ -689,6 +760,94 @@ Explorer::Result explore_parallel(const ExecutionBody& body,
     std::vector<WorkItem> spilled;  // overflow units, re-injected at the end
     std::ofstream spill_out;        // journal of spilled prefixes
     std::size_t last_snapshot_events = 0;
+    detail::RaceAnalysis analysis;
+    std::vector<detail::Backtrack> unused;  // the walker owns every decision
+    // Source sets: per trace depth, the list entries already run or pushed
+    // (those past it are new), and the pushed units the walker has not
+    // reached yet, by list position.
+    std::vector<std::uint8_t> handled;
+    std::vector<std::deque<std::pair<std::uint8_t, UnitRecord*>>> pushed;
+    for (const Decision& d : prefix) {
+      handled.push_back(d.listed);  // a resumed list is the walker's to run
+    }
+    pushed.resize(prefix.size());
+    UnitRecord* reached = nullptr;  // the pushed unit `prefix` ends at
+
+    const auto push_unit = [&](WorkItem item) {
+      if (queue.try_push(std::move(item))) {
+        // fall through to the notify below
+      } else if (checkpointing && !sources) {
+        // Graceful degradation under ring pressure: spill the *oldest*
+        // queued prefix to `<checkpoint_path>.spill` (journaled, then
+        // re-injected once enumeration finishes) so the newest unit
+        // takes its slot and enumeration keeps streaming instead of
+        // stalling behind a slow subtree. (The source-set walker waits for
+        // its units in order, so it drains instead.)
+        while (!queue.try_push(std::move(item))) {
+          WorkItem oldest;
+          if (queue.try_pop(oldest)) {
+            if (!spill_out.is_open()) {
+              spill_out.open(opts.checkpoint_path + ".spill",
+                             std::ios::trunc);
+            }
+            spill_out << "{\"kind\":\"spill\",\"event\":"
+                      << oldest.event_index << ",\"prefix\":\""
+                      << encode_decisions(oldest.prefix) << "\"}\n";
+            spill_out.flush();
+            spilled.push_back(std::move(oldest));
+          }
+        }
+      } else {
+        // No spill target: drain one unit here (natural backpressure).
+        // Drop our budget hold first — the drained subtree claims its
+        // own, and a grant held across a blocking drain could starve
+        // parked peers into deadlock.
+        while (!queue.try_push(std::move(item))) {
+          budget.release();
+          WorkItem mine;
+          if (queue.try_pop(mine)) {
+            process_item(std::move(mine));
+          }
+        }
+      }
+      {
+        const std::lock_guard<std::mutex> lk(qmu);
+      }
+      qcv.notify_one();
+    };
+
+    // Waits for a pushed unit, running queued units meanwhile (only the
+    // walker pushes, so an empty ring stays empty while it waits).
+    const auto await = [&](UnitRecord& rec) {
+      budget.release();
+      while (!rec.done.load(std::memory_order_acquire)) {
+        WorkItem mine;
+        if (queue.try_pop(mine)) {
+          process_item(std::move(mine));
+          continue;
+        }
+        std::unique_lock<std::mutex> lk(done_mu);
+        done_cv.wait(lk, [&rec] {
+          return rec.done.load(std::memory_order_acquire);
+        });
+      }
+    };
+
+    // Pushes every list entry past `handled` as a unit of its own.
+    const auto push_new_options = [&](const std::vector<Decision>& trace) {
+      for (std::size_t k = 0; k < trace.size(); ++k) {
+        for (; handled[k] < trace[k].listed; ++handled[k]) {
+          unit_records.emplace_back();
+          UnitRecord& rec = unit_records.back();
+          rec.prefix.assign(trace.begin(),
+                            trace.begin() + static_cast<std::ptrdiff_t>(k));
+          rec.prefix.push_back(listed_option(trace[k], handled[k]));
+          pushed[k].emplace_back(handled[k], &rec);
+          push_unit(WorkItem{ViolationLog::kNone, &rec, rec.prefix});
+        }
+      }
+    };
+
     for (;;) {
       if (state.log.best_index() < events.size()) {
         break;  // a reported violation canonically precedes the next event
@@ -696,19 +855,55 @@ Explorer::Result explore_parallel(const ExecutionBody& body,
       if (!budget.ensure()) {
         break;  // budget finally exhausted mid-frontier
       }
-      ReplayDriver driver = make_driver(std::move(prefix), opts, state);
-      driver.set_decision_limit(depth);
-      Attempt run = attempt(body, driver, opts);
-      const EventMeta ev = run.event;
-      if (ev.kind == EventMeta::Kind::kExecution) {
-        budget.consume();
+      EventMeta ev;
+      std::vector<Decision> trace;
+      std::optional<std::string> violation;
+      if (reached != nullptr) {
+        ev.kind = EventMeta::Kind::kUnit;
+        ev.unit = reached;
+        reached = nullptr;
+        trace = std::move(prefix);
+        await(*ev.unit);
+      } else {
+        const std::size_t fixed = prefix.size();
+        ReplayDriver driver = make_driver(std::move(prefix), opts, state,
+                                          sources ? &analysis : nullptr);
+        driver.set_decision_limit(depth);
+        Attempt run = attempt(body, driver, opts);
+        ev = run.event;
+        violation = std::move(run.violation);
+        if (ev.kind == EventMeta::Kind::kExecution) {
+          budget.consume();
+        }
+        const std::size_t fresh_from = driver.fresh_from();
+        const bool faulted = driver.faulted();
+        trace = driver.take_trace();
+        if (sources) {
+          analysis.run(fresh_from, faulted, trace, 0, unused);
+          handled.resize(trace.size());
+          pushed.resize(trace.size());
+          for (std::size_t k = fixed; k < trace.size(); ++k) {
+            handled[k] = trace[k].listed > 0 ? 1 : 0;
+          }
+        }
+        if (ev.kind == EventMeta::Kind::kUnit) {
+          unit_records.emplace_back();
+          ev.unit = &unit_records.back();
+          ev.unit->prefix = trace;
+          WorkItem item{events.size(), ev.unit, trace};
+          if (sources) {
+            budget.release();
+            process_item(std::move(item));  // the walker needs its demands
+          } else {
+            push_unit(std::move(item));
+          }
+        }
       }
-      std::vector<Decision> trace = driver.take_trace();
       events.push_back(ev);
-      if (run.violation) {
+      if (violation) {
         // A violating shallow execution beats everything that would have
         // followed; report it and stop enumerating.
-        state.log.report(events.size() - 1, *run.violation, std::move(trace));
+        state.log.report(events.size() - 1, *violation, std::move(trace));
         break;
       }
       if (ev.stuck) {
@@ -717,50 +912,22 @@ Explorer::Result explore_parallel(const ExecutionBody& body,
         state.stuck_log.report(events.size() - 1,
                                stuck_message_for(opts.step_quota), trace);
       }
-      if (ev.kind == EventMeta::Kind::kUnit) {
-        unit_records.emplace_back();
-        UnitRecord& rec = unit_records.back();
-        rec.prefix = trace;
-        WorkItem item{events.size() - 1, &rec, trace};
-        if (!queue.try_push(std::move(item))) {
-          if (checkpointing) {
-            // Graceful degradation under ring pressure: spill the *oldest*
-            // queued prefix to `<checkpoint_path>.spill` (journaled, then
-            // re-injected once enumeration finishes) so the newest unit
-            // takes its slot and enumeration keeps streaming instead of
-            // stalling behind a slow subtree.
-            while (!queue.try_push(std::move(item))) {
-              WorkItem oldest;
-              if (queue.try_pop(oldest)) {
-                if (!spill_out.is_open()) {
-                  spill_out.open(opts.checkpoint_path + ".spill",
-                                 std::ios::trunc);
-                }
-                spill_out << "{\"kind\":\"spill\",\"event\":"
-                          << oldest.event_index << ",\"prefix\":\""
-                          << encode_decisions(oldest.prefix) << "\"}\n";
-                spill_out.flush();
-                spilled.push_back(std::move(oldest));
-              }
-            }
-          } else {
-            // No spill target: drain one unit here (natural backpressure).
-            // Drop our budget hold first — the drained subtree claims its
-            // own, and a grant held across a blocking drain could starve
-            // parked peers into deadlock.
-            while (!queue.try_push(std::move(item))) {
-              budget.release();
-              WorkItem mine;
-              if (queue.try_pop(mine)) {
-                process_item(std::move(mine));
-              }
-            }
-          }
+      if (sources && ev.unit != nullptr) {
+        const SubtreeStats& st = ev.unit->stats;
+        for (const detail::Backtrack& b : st.above) {
+          detail::apply(trace[b.depth], b);
         }
-        {
-          const std::lock_guard<std::mutex> lk(qmu);
+        if (st.stuck_message) {
+          state.stuck_log.report(events.size() - 1, *st.stuck_message,
+                                 st.stuck_trace);
         }
-        qcv.notify_one();
+        if (st.violation) {
+          state.log.report(events.size() - 1, *st.violation, st.trace);
+          break;
+        }
+      }
+      if (sources) {
+        push_new_options(trace);
       }
       std::int64_t advance_prunes = 0;
       std::int64_t advance_reduced = 0;
@@ -773,16 +940,27 @@ Explorer::Result explore_parallel(const ExecutionBody& body,
       for (std::int64_t i = 0; i < advance_prunes; ++i) {
         events.push_back(EventMeta{EventMeta::Kind::kPruned, 0});
       }
-      if (advance_reduced > 0) {
+      if (advance_reduced != 0) {
         events.push_back(
             EventMeta{EventMeta::Kind::kSkip, advance_reduced});
       }
-      if (opts.observer != nullptr && ev.reduced + advance_reduced > 0) {
+      if (opts.observer != nullptr && ev.reduced + advance_reduced != 0) {
         opts.observer->on_reduced(ev.reduced + advance_reduced);
       }
       if (!more) {
         producer_finished_tree = true;
         break;
+      }
+      if (sources) {
+        handled.resize(trace.size());
+        pushed.resize(trace.size());
+        const Decision& d = trace.back();
+        std::deque<std::pair<std::uint8_t, UnitRecord*>>& q = pushed.back();
+        if (d.listed > 0 && !q.empty() &&
+            d.list[q.front().first] == d.chosen) {
+          reached = q.front().second;
+          q.pop_front();
+        }
       }
       if (checkpointing &&
           events.size() - last_snapshot_events >=
@@ -831,12 +1009,10 @@ Explorer::Result explore_parallel(const ExecutionBody& body,
   const std::uint64_t winner_index = win ? win->index : ViolationLog::kNone;
   bool all_finished = producer_finished_tree;
   Tally total;
-  std::size_t u = 0;
   for (std::size_t i = 0; i < events.size() && i <= winner_index; ++i) {
-    if (events[i].kind == EventMeta::Kind::kUnit) {
-      total += unit_records[u].stats.tally;
-      all_finished = all_finished && unit_records[u].stats.finished;
-      ++u;
+    if (const UnitRecord* unit = events[i].unit; unit != nullptr) {
+      total += unit->stats.tally;
+      all_finished = all_finished && unit->stats.finished;
     }
     total.add(events[i]);
   }

@@ -247,19 +247,39 @@ ProgressTicker::ProgressTicker(double period_seconds, std::ostream* out)
       start_(std::chrono::steady_clock::now()),
       last_tick_(start_) {}
 
+namespace {
+
+// The ticker that counted a run end on this thread since the execution's
+// observer scope was installed (ScopedObserver resets it). A violation
+// thrown by the body's post-run check belongs to that counted execution.
+thread_local const ProgressTicker* g_run_counted = nullptr;
+
+}  // namespace
+
+void ProgressTicker::on_run_begin(int /*num_processes*/) {
+  if (g_run_counted == this) {
+    g_run_counted = nullptr;  // a later runtime of the same execution
+  }
+}
+
 void ProgressTicker::on_run_end(std::int64_t /*total_steps*/,
                                 bool /*quiescent*/) {
   const std::lock_guard<std::mutex> lock(mu_);
   ++executions_;
+  g_run_counted = this;
   maybe_tick_locked();
 }
 
 void ProgressTicker::on_violation(std::string_view /*message*/) {
   const std::lock_guard<std::mutex> lock(mu_);
   ++violations_;
-  // A violating run never reaches on_run_end (the body threw), but the
-  // search counts it as a completed execution — the counterexample run.
-  ++executions_;
+  // The search counts a violating run as a completed execution — the
+  // counterexample run. A body that threw inside its runtime never reached
+  // on_run_end; one whose post-run check threw already counted it there.
+  if (g_run_counted != this) {
+    ++executions_;
+  }
+  g_run_counted = nullptr;
   maybe_tick_locked();
 }
 
@@ -339,6 +359,7 @@ TraceObserver* thread_default_observer() noexcept { return g_thread_observer; }
 ScopedObserver::ScopedObserver(TraceObserver* obs)
     : previous_(g_thread_observer) {
   g_thread_observer = obs;
+  g_run_counted = nullptr;  // a new execution: no run of it has ended yet
 }
 
 ScopedObserver::~ScopedObserver() { g_thread_observer = previous_; }

@@ -357,7 +357,10 @@ Runtime::RunResult Runtime::run(ScheduleDriver& driver,
       }
     }
     if (enabled.empty()) {
-      break;  // recovery declined with nobody runnable: the run ends
+      // Recovery declined with nobody runnable: the run ends — cut, when
+      // the policy stopped it here (no pick follows to answer kCut).
+      cut_ = driver.stopped();
+      break;
     }
     // Fault injection: consult the policy before the pick. Crashed pids are
     // retired here, so the pick below only ever sees survivors. Bits for
@@ -458,6 +461,9 @@ void Runtime::crash(int pid) {
     if (observer_ != nullptr) {
       observer_->on_crash(pid, total_steps_);
     }
+    if (driver_ != nullptr) {
+      driver_->on_fault();
+    }
   }
 }
 
@@ -502,6 +508,9 @@ void Runtime::recover(int pid) {
   }
   if (observer_ != nullptr) {
     observer_->on_recover(pid, total_steps_);
+  }
+  if (driver_ != nullptr) {
+    driver_->on_fault();
   }
   if (started_) {
     // Re-prime the fresh incarnation: run its prologue up to its first

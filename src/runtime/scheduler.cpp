@@ -101,6 +101,7 @@ std::size_t ReplayDriver::pick(std::span<const int> enabled,
   sleep_ &= mask;
 
   std::uint32_t chosen = 0;
+  std::int32_t decision = -1;  // trace index of this decision, -1 if forced
   if (arity == 1) {
     // Forced decision: exactly one option, elided from the trace (it can
     // never be backtracked). The sleep set still evolves across it — and a
@@ -111,6 +112,7 @@ std::size_t ReplayDriver::pick(std::span<const int> enabled,
       return raise_cut(Cut::kSleep);
     }
   } else if (pos_ < trace_.size()) {
+    decision = static_cast<std::int32_t>(pos_);
     const Decision& d = trace_[pos_++];
     // The world must be deterministic given the decision string: arity,
     // enabled set and inherited sleep set must match the recording.
@@ -120,10 +122,13 @@ std::size_t ReplayDriver::pick(std::span<const int> enabled,
     SUBC_ASSERT(mask == 0 || d.enabled == 0 || d.enabled == mask);
     SUBC_ASSERT(mask == 0 || d.enabled == 0 || d.sleep == sleep_);
     chosen = d.chosen;
+    note_prefix_used();
   } else {
     if (trace_.size() >= limit_) {
       return raise_cut(Cut::kFrontier);
     }
+    const bool listed =
+        source_sets_ && mask != 0 && arity <= kMaxListed;
     if (mask != 0) {
       // Sleep-set skip: the least option whose process is awake. Each
       // skipped option is a subtree an earlier sibling branch already
@@ -136,21 +141,44 @@ std::size_t ReplayDriver::pick(std::span<const int> enabled,
         return raise_cut(Cut::kSleep);
       }
     }
-    trace_.push_back(Decision{chosen, arity, mask, sleep_});
+    Decision fresh{chosen, arity, mask, sleep_};
+    if (listed) {
+      // Every other option is counted as never entered; the explorer takes
+      // one back each time it enters a listed option later.
+      reduced_ += arity - 1 - chosen;
+      fresh.list[0] = static_cast<std::uint8_t>(chosen);
+      fresh.listed = 1;
+    }
+    decision = static_cast<std::int32_t>(trace_.size());
+    trace_.push_back(fresh);
     ++pos_;
     if (prune_ != nullptr && *prune_ && (*prune_)(trace_)) {
       return raise_cut(Cut::kPrune);
     }
   }
+  if (steps_log_ != nullptr) {
+    steps_log_->push_back(Step{enabled[chosen], decision,
+                               footprints.size() == enabled.size()
+                                   ? footprints[chosen]
+                                   : Access{}});
+  }
 
   if (mask != 0) {
-    // Classic sleep-set propagation past the granted step: earlier sibling
-    // options join the sleep set (their subtrees are explored first in DFS
-    // order), then every sleeper whose pending step *depends* on the
-    // granted step wakes up.
+    // Classic sleep-set propagation past the granted step: the options
+    // entered before this one join the sleep set (their subtrees were
+    // explored first), then every sleeper whose pending step *depends* on
+    // the granted step wakes up. A replayed listed decision records those
+    // options; a full-branching one has entered every option below
+    // `chosen` (a fresh decision's are all asleep already).
     std::uint64_t eff = sleep_;
-    for (std::uint32_t c = 0; c < chosen; ++c) {
-      eff |= std::uint64_t{1} << enabled[c];
+    const Decision* d =
+        decision < 0 ? nullptr : &trace_[static_cast<std::size_t>(decision)];
+    if (d != nullptr && d->listed > 0) {
+      eff |= d->explored;
+    } else {
+      for (std::uint32_t c = 0; c < chosen; ++c) {
+        eff |= std::uint64_t{1} << enabled[c];
+      }
     }
     const Access granted = footprints[chosen];
     std::uint64_t next = 0;
@@ -210,6 +238,7 @@ std::uint64_t ReplayDriver::crash_requests(std::span<const int> enabled) {
     SUBC_ASSERT(d.arity == arity);
     SUBC_ASSERT(d.chosen < arity);
     chosen = d.chosen;
+    note_prefix_used();
   } else {
     if (trace_.size() >= limit_) {
       raise_cut(Cut::kFrontier);
@@ -279,10 +308,11 @@ std::uint64_t ReplayDriver::recovery_requests(std::span<const int> crashed) {
     SUBC_ASSERT(d.arity == arity);
     SUBC_ASSERT(d.chosen < arity);
     chosen = d.chosen;
+    note_prefix_used();
   } else {
     if (trace_.size() >= limit_) {
       raise_cut(Cut::kFrontier);
-      return 0;  // the cut lands at the next pick
+      return 0;  // the cut lands at the next pick (or ends an idle run)
     }
     // Fresh branch starts at "no restart"; advance() later bumps through
     // the candidates. Enabled/sleep masks stay 0: a recovery is a write on
@@ -361,6 +391,7 @@ std::uint32_t ReplayDriver::next_choice(std::uint32_t arity) {
     SUBC_ASSERT(!d.crash && !d.recover);
     SUBC_ASSERT(d.arity == arity);
     SUBC_ASSERT(d.chosen < arity);
+    note_prefix_used();
     return d.chosen;
   }
   if (trace_.size() >= limit_) {

@@ -299,6 +299,37 @@ TEST(CheckpointResume, DecisionStringsRoundTripIncludingCrashFlags) {
   EXPECT_FALSE(legacy[0].recover);
 }
 
+TEST(CheckpointResume, DecisionStringsCarryBacktrackLists) {
+  // A listed decision at its second option: the list (insertion order) and
+  // the explored set round-trip; a full-branching decision writes "-".
+  ReplayDriver::Decision listed{2, 3, 0b111, 0b000};
+  listed.listed = 2;
+  listed.list[0] = 0;
+  listed.list[1] = 2;
+  listed.explored = 0b001;
+  const ReplayDriver::Decision full{1, 2, 0b11, 0};
+  const std::vector<ReplayDriver::Decision> trace{listed, full};
+  const std::string encoded = encode_decisions(trace);
+  EXPECT_EQ(encoded, "2/3/7/0/0/0/1/02 1/2/3/0/0/0/0/-");
+  const auto decoded = decode_decisions(encoded);
+  ASSERT_EQ(decoded.size(), 2u);
+  EXPECT_EQ(decoded[0].listed, 2);
+  EXPECT_EQ(decoded[0].list[0], 0);
+  EXPECT_EQ(decoded[0].list[1], 2);
+  EXPECT_EQ(decoded[0].explored, 0b001u);
+  EXPECT_EQ(decoded[1].listed, 0);
+
+  // Tokens from before source sets load as full-branching decisions.
+  const auto legacy = decode_decisions("1/3/7/2/0/0");
+  ASSERT_EQ(legacy.size(), 1u);
+  EXPECT_EQ(legacy[0].listed, 0);
+
+  EXPECT_THROW(decode_decisions("2/3/7/0/0/0/0/01"), SimError);  // no chosen
+  EXPECT_THROW(decode_decisions("0/3/7/0/0/0/0/05"), SimError);  // >= arity
+  EXPECT_THROW(decode_decisions("0/3/7/0/0/0/0/00"), SimError);  // repeated
+  EXPECT_THROW(decode_decisions("0/17/0/0/0/0/0/0"), SimError);  // too wide
+}
+
 TEST(CheckpointResume, SnapshotFilesSurviveLoadSaveRoundTrip) {
   const std::string cp = temp_path("subc_ckpt_roundtrip.jsonl");
   ExplorerSnapshot snap;

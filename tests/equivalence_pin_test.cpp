@@ -1,9 +1,12 @@
 // Pins the exhaustive explorer's exact result grid on the reduction_test
 // worlds (register, GAC, WRN, classic consensus): verdict, execution count
 // and reduced_subtrees at fixed {engine, reduction, threads, max_crashes}.
-// The crash-free numbers were captured from the pre-policy-refactor
-// explorer; any drift means the re-architecture changed exhaustive-search
-// semantics, which it must not.
+// Executions are the semantic pins: captured from the pre-policy-refactor
+// explorer, they are one per Mazurkiewicz trace under sleep sets, and any
+// drift means a change altered what the exhaustive search visits, which it
+// must not. `reduced_sleep` pins work instead — options never entered at
+// visited decisions — and moves when the reduction gets better at not
+// building worlds (source sets re-pinned it; CHANGES.md lists old → new).
 //
 // Every world exists in two forms — the fiber body and its stepped twin
 // (subc/algorithms/stepped_bodies.hpp) — and both must hit the *same* pins:
@@ -289,12 +292,12 @@ void expect_stateful_equivalent(const ExecutionBody& fiber_body,
   }
 }
 
-// Captured from the pre-refactor explorer (PR 2 head): the policy/observer
-// re-architecture must not move any of these — and the stepped engine must
-// reproduce them exactly.
+// Executions captured from the pre-refactor explorer (PR 2 head): nothing
+// may move them, and the stepped engine must reproduce every pin exactly.
+// `reduced_sleep` as counted under source sets.
 TEST(ExplorerEquivalencePin, RegisterWorld) {
   expect_pinned(register_world(Eng::kFiber), register_world(Eng::kStepped),
-                {"register", 90, 7, 28});
+                {"register", 90, 7, 16});
 }
 
 TEST(ExplorerEquivalencePin, GacWorld) {
@@ -309,7 +312,7 @@ TEST(ExplorerEquivalencePin, WrnWorld) {
 
 TEST(ExplorerEquivalencePin, ClassicConsensusWorld) {
   expect_pinned(consensus_world(Eng::kFiber), consensus_world(Eng::kStepped),
-                {"consensus", 6, 2, 3});
+                {"consensus", 6, 2, 2});
 }
 
 TEST(ExplorerEquivalencePin, RegisterWorldStateful) {

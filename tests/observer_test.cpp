@@ -354,7 +354,9 @@ TEST(ProgressTicker, ParallelSearchAggregatesAcrossWorkers) {
 TEST(ProgressTicker, CutRunsAreNeitherExecutionsNorViolations) {
   // A correct world whose check demands a finished world, so it throws on
   // every partial world a cut leaves behind. Cut runs emit no run end, and
-  // what their check throws is dropped before it reaches an observer.
+  // what their check throws is dropped before it reaches an observer. The
+  // reader makes the default search cut too: its branch on own[0] is the
+  // POPL 2014 example of a run that source sets leave sleep-blocked.
   const ExecutionBody body = [](ScheduleDriver& driver) {
     Runtime rt;
     Register<> shared(0);
@@ -366,8 +368,15 @@ TEST(ProgressTicker, CutRunsAreNeitherExecutionsNorViolations) {
         own[p].write(ctx, 2);
       });
     }
+    rt.add_process([&](Context& ctx) {
+      if (own[0].read(ctx) == 0) {
+        own[2].read(ctx);
+      } else {
+        own[1].read(ctx);
+      }
+    });
     rt.run(driver);
-    for (int p = 0; p < 3; ++p) {
+    for (int p = 0; p < 4; ++p) {
       if (rt.state_of(p) != ProcState::kDone) {
         throw SpecViolation("process " + std::to_string(p) + " unfinished");
       }
@@ -393,6 +402,67 @@ TEST(ProgressTicker, CutRunsAreNeitherExecutionsNorViolations) {
     EXPECT_EQ(ticker.snapshot().stateful_cuts, result.stateful_cuts);
     EXPECT_EQ(collector.count(), 0);
     EXPECT_EQ(counters.violations(), 0);
+  }
+}
+
+TEST(ProgressTicker, PostRunCheckViolationIsOneExecution) {
+  // The body's check throws after its runtime ended: on_run_end already
+  // counted the execution, so the violation must not count it again.
+  const ExecutionBody body = [](ScheduleDriver& driver) {
+    Runtime rt;
+    Register<> reg(0);
+    for (int p = 0; p < 2; ++p) {
+      rt.add_process([&, p](Context& ctx) { reg.write(ctx, 10 + p); });
+    }
+    if (rt.run(driver).cut) {
+      return;
+    }
+    if (reg.peek() == 11) {
+      throw SpecViolation("p1 wrote last");
+    }
+  };
+  ProgressTicker ticker(/*period_seconds=*/1e9, nullptr);
+  Explorer::Options opts;
+  opts.observer = &ticker;
+  const auto result = Explorer::explore(body, opts);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.executions, 1);
+  EXPECT_EQ(ticker.snapshot().executions, result.executions);
+  EXPECT_EQ(ticker.snapshot().violations, 1);
+}
+
+TEST(ProgressTicker, CutWithOnlyCrashedProcessesLeftIsNoExecution) {
+  // A visited-set cut (stateful search) or a frontier cut of a fresh
+  // restart decision (parallel search) can land at a decision point where
+  // nobody is runnable and only crashed processes wait for a restart: no
+  // pick follows to answer kCut, so the kernel asks the policy (`stopped`)
+  // and ends the run as cut, with no run end.
+  const ExecutionBody body = [](ScheduleDriver& driver) {
+    Runtime rt;
+    RegisterArray<> regs(2, 0);
+    for (int p = 0; p < 2; ++p) {
+      rt.add_process([&, p](Context& ctx) {
+        regs[p].write(ctx, 1);
+        regs[1 - p].write(ctx, 2);
+      });
+    }
+    rt.run(driver);
+  };
+  for (const bool stateful : {true, false}) {
+    SCOPED_TRACE(stateful ? "stateful" : "parallel");
+    ProgressTicker ticker(/*period_seconds=*/1e9, nullptr);
+    Explorer::Options opts;
+    opts.observer = &ticker;
+    opts.stateful = stateful;
+    opts.threads = stateful ? 1 : 2;
+    opts.frontier_depth = 6;
+    opts.max_crashes = 2;
+    opts.max_recoveries = 1;
+    const auto result = Explorer::explore(body, opts);
+    ASSERT_TRUE(result.ok()) << *result.violation;
+    EXPECT_TRUE(result.complete);
+    EXPECT_GT(result.recovered_executions, 0);
+    EXPECT_EQ(ticker.snapshot().executions, result.executions);
   }
 }
 

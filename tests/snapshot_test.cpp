@@ -102,7 +102,9 @@ TEST(SnapshotFromRegisters, ConcurrentScansAreComparable) {
             views[static_cast<std::size_t>(s)] = snap.scan(ctx);
           });
         }
-        rt.run(driver);
+        if (rt.run(driver).cut) {
+          return;  // a partial world: the scanners may not have finished
+        }
         const auto leq = [](const std::vector<Value>& a,
                             const std::vector<Value>& b) {
           for (std::size_t i = 0; i < a.size(); ++i) {
