@@ -131,7 +131,8 @@ class Json {
 /// options sleep sets skipped across all explorations the bench ran) and
 /// `reduction_factor` ((executions + reduced_subtrees) / executions). Each
 /// skipped subtree holds at least one execution, so the factor lower-bounds
-/// the raw/reduced execution-count ratio; benches that never drive the
+/// the raw/reduced execution-count ratio. It is not the work saved: it falls
+/// as source sets visit fewer decisions. Benches that never drive the
 /// exhaustive explorer pass (0, 0) and report factor 1.
 inline void set_reduction_fields(Json& json, std::int64_t reduced_subtrees,
                                  std::int64_t executions) {

@@ -36,9 +36,13 @@ struct HistoryEntry {
 
 /// Append-only record of high-level operations.
 ///
-/// Entry op/response buffers are recycled through a thread-local pool (the
-/// destructor and `clear()` return them), so a history that is filled and
-/// torn down once per execution stops allocating in steady state.
+/// Entry op/response buffers are recycled, so a history stops allocating in
+/// steady state. `clear()` keeps the buffers of the cleared entries in the
+/// history itself, and its next entries reuse them first: a history that is
+/// cleared and refilled (an instance block's, runtime/instance.hpp) holds
+/// at most the buffers of its largest fill. The destructor returns them to
+/// a thread-local pool (bounded, so one giant history cannot pin memory)
+/// that histories built and torn down once per execution draw from.
 class History {
  public:
   History() = default;
@@ -61,8 +65,9 @@ class History {
     respond(handle, std::span<const Value>(response.begin(), response.size()));
   }
 
-  /// Forgets all entries (returning their buffers to the pool) and rewinds
-  /// the clock — the recycling alternative to destroying the History.
+  /// Forgets all entries (keeping their buffers for the next entries) and
+  /// rewinds the clock — the recycling alternative to destroying the
+  /// History.
   void clear();
 
   [[nodiscard]] const std::vector<HistoryEntry>& entries() const noexcept {
@@ -95,6 +100,8 @@ class History {
 
  private:
   std::vector<HistoryEntry> entries_;
+  /// Empty buffers of cleared entries, taken before the thread-local pool.
+  std::vector<std::vector<Value>> spare_;
   std::int64_t clock_ = 0;
   TraceObserver* sink_ = nullptr;
 };

@@ -16,8 +16,21 @@
 // Memory: instance state blocks are carved from the table's `ArenaLease`
 // (runtime/arena.hpp) and recycled through a free list on GC — a
 // long-running service churning millions of instances reuses a bounded set
-// of blocks instead of growing the arena monotonically. Telemetry lands in
-// `alloc_counters()` (`instance_blocks_carved` / `instance_block_reuses`).
+// of blocks instead of growing the arena monotonically. A recycled block
+// keeps the capacity of everything it grew: its object-state vectors, its
+// history's entry list and value buffers, and the service's quorum
+// bookkeeping (proposals, responses). Once the blocks have served the shapes
+// a workload uses, opening, serving and reclaiming an instance costs no heap
+// allocation. Telemetry lands in `alloc_counters()`
+// (`instance_blocks_carved` / `instance_block_reuses`).
+//
+// Lookup: live ids sit in one open-addressed index (linear probing, deletion
+// by backward shift, no tombstones) that maps an id to its block. Its home
+// slot comes from the block's fingerprint domain, not from the router's
+// `mix64(id)`: the sharded service routes `mix64(id) % shards`, which at a
+// power-of-two shard count fixes the low bits of `mix64(id)` within a
+// shard, so masking those bits would crowd a shard's ids into 1/shards of
+// the home slots.
 //
 // Fingerprint domains: every instance owns the domain term
 // `fp_instance_domain(id) = mix64(id ^ kFpInstanceSalt)` (hashing.hpp).
@@ -29,7 +42,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "subc/objects/onk.hpp"
@@ -58,7 +70,10 @@ enum class InstancePhase : std::uint8_t { kOpen, kDecided };
 
 /// One logical instance: object state for every kind (exactly one is live,
 /// per `kind` — one block shape keeps the free list homogeneous), a
-/// per-instance history segment, and the fingerprint accumulators.
+/// per-instance history segment, the fingerprint accumulators, and the
+/// quorum bookkeeping a sharded-service worker keeps per instance. Every
+/// field is reset when the table opens an instance on the block; vectors are
+/// cleared, not freed, so a recycled block reuses their capacity.
 struct InstanceBlock {
   InstanceId id = 0;
   InstanceKind kind = InstanceKind::kOneShotWrn;
@@ -84,6 +99,21 @@ struct InstanceBlock {
 
   std::int64_t opened_at = 0;
   std::int64_t decided_at = -1;
+
+  /// Quorum bookkeeping (runtime/service.hpp). The table resets these on
+  /// open and never reads them; the service's worker fills them in. The
+  /// decided flag is `phase` and the opened tick is `opened_at`.
+  unsigned total_weight = 0;   ///< weight quorum is judged against
+  unsigned served_weight = 0;  ///< weight of the ops served so far
+  int spec_k = 0;              ///< agreement bound the opener declared
+  std::uint64_t request_fp = 0;  ///< logical-request fingerprint; 0 = none
+  std::vector<Value> proposals;  ///< every value submitted, in drain order
+  std::vector<Value> responses;  ///< every response served, in apply order
+
+  /// `fp_local` folded with the domain term (InstanceTable::world_fingerprint).
+  [[nodiscard]] std::uint64_t world_fingerprint() const noexcept {
+    return detail::mix64(fp_domain ^ fp_local);
+  }
 };
 
 /// Minimal context for driving the object cores against an InstanceBlock
@@ -179,7 +209,13 @@ class InstanceTable {
   InstanceId open_assigned(InstanceId id, InstanceKind kind, int a, int b = 0,
                            std::int64_t now = 0);
 
+  /// As `open_assigned`, returning the freshly reset block, so a caller
+  /// that fills in the block's quorum fields needs no lookup.
+  InstanceBlock& open_block(InstanceId id, InstanceKind kind, int a, int b,
+                            std::int64_t now);
+
   /// Looks an instance up; nullptr when absent (never opened, or GC'd).
+  /// One probe of the id index.
   [[nodiscard]] InstanceBlock* find(InstanceId id) noexcept;
   [[nodiscard]] const InstanceBlock* find(InstanceId id) const noexcept;
 
@@ -192,13 +228,19 @@ class InstanceTable {
   /// kinds); `choice_seed` feeds the core's `choose` stream. Returns the
   /// operation's response, or ⊥ with `*hung = true` when the core hung
   /// (capacity exceeded / index reuse) — the history records no response
-  /// for a hung op, mirroring a forever-pending invocation.
+  /// for a hung op, mirroring a forever-pending invocation. The id form
+  /// throws on an absent id; the block form takes a live block of this
+  /// table and does no lookup.
   Value apply(InstanceId id, int pid, int slot, Value v,
               std::uint64_t choice_seed, bool* hung);
+  Value apply(InstanceBlock& block, int pid, int slot, Value v,
+              std::uint64_t choice_seed, bool* hung);
 
-  /// Marks an instance decided at virtual time `now` (idempotent; throws on
-  /// an absent id). The block stays in the table — auditable — until GC.
+  /// Marks an instance decided at virtual time `now` (idempotent; the id
+  /// form throws on an absent id). The block stays in the table —
+  /// auditable — until GC.
   void decide(InstanceId id, std::int64_t now);
+  void decide(InstanceBlock& block, std::int64_t now);
 
   /// Reclaims one instance: clears its history, returns the block to the
   /// free list. Decided or not — a service also GCs timed-out instances
@@ -206,7 +248,7 @@ class InstanceTable {
   bool gc(InstanceId id);
 
   /// Reclaims every decided instance with decided_at <= `decided_before`;
-  /// returns how many were reclaimed.
+  /// returns how many were reclaimed. One sweep of the id index.
   std::size_t gc_decided(std::int64_t decided_before);
 
   /// Local fingerprint: the fold of the instance's operation effects.
@@ -221,10 +263,26 @@ class InstanceTable {
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
  private:
+  /// One slot of the id index: a live id and its block, or empty (id 0 —
+  /// never a live id).
+  struct IndexSlot {
+    InstanceId id = 0;
+    InstanceBlock* block = nullptr;
+  };
+
   InstanceBlock* acquire_block();
+  /// The slot holding `id`, or the empty slot that ends its probe run.
+  [[nodiscard]] std::size_t probe(InstanceId id) const noexcept;
+  /// Doubles the index and re-inserts every live id.
+  void grow_index();
+  /// Empties index slot `hole` by shifting the rest of its probe run back,
+  /// recycles its block, and counts the reclaim.
+  void release(std::size_t hole);
 
   ArenaLease arena_;
-  std::unordered_map<InstanceId, InstanceBlock*> live_;
+  /// Open-addressed id → block index: a power of two of slots, at most half
+  /// full, home slot `fp_domain & (size - 1)`.
+  std::vector<IndexSlot> index_ = std::vector<IndexSlot>(16);
   std::vector<InstanceBlock*> free_;
   /// Every block ever carved (for destructor runs at teardown — the arena
   /// does not destruct what it hands out).

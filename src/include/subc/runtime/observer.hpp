@@ -229,15 +229,22 @@ class ProgressTicker final : public TraceObserver {
  public:
   struct Snapshot {
     std::int64_t executions = 0;
+    /// Runs that began (on_run_begin events): every world built, whether
+    /// it finished as an execution or was cut. runs / executions is the
+    /// worlds built per execution.
+    std::int64_t runs = 0;
     std::int64_t reduced = 0;
     std::int64_t violations = 0;
     /// Subtrees skipped by stateful exploration (on_stateful_cut events).
     std::int64_t stateful_cuts = 0;
     double elapsed_seconds = 0.0;
     double executions_per_sec = 0.0;
-    /// (executions + reduced skips) / executions; 1.0 when nothing was
-    /// skipped (or nothing ran). A coarse "how much tree did the reduction
-    /// save" figure.
+    /// (executions + reduced) / executions; 1.0 when nothing was reduced
+    /// (or nothing ran). `reduced` counts the options never entered at the
+    /// decisions the search visited, each of which leads to at least one
+    /// raw execution, so this bounds raw over reduced executions from
+    /// below. It is not the work saved: it falls as source sets visit
+    /// fewer decisions. `runs` / `executions` follows the work.
     double reduction_factor = 1.0;
   };
 
@@ -264,6 +271,7 @@ class ProgressTicker final : public TraceObserver {
   std::chrono::steady_clock::time_point start_;
   std::chrono::steady_clock::time_point last_tick_;
   std::int64_t executions_ = 0;
+  std::int64_t runs_ = 0;
   std::int64_t reduced_ = 0;
   std::int64_t violations_ = 0;
   std::int64_t stateful_cuts_ = 0;

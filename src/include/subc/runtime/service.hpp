@@ -9,7 +9,15 @@
 // client op routes to shard `mix64(instance_id) % shards`; ids are assigned
 // from one process-wide counter at submit time, so routing is a pure
 // function of the id and the shard's worker is the only thread that ever
-// touches its table, its metas, or its arena.
+// touches its table or its arena.
+//
+// Cost per request: the worker keeps each instance's quorum state (served
+// weight, proposals, responses) in the instance's own table block, so one
+// probe of the table's id index finds an op's instance when the op is
+// drained and one more when it is applied; deciding, the callback and GC
+// scheduling reuse that block. Blocks, their history buffers and the delay
+// lanes keep their capacity, so once a shard has warmed up a request costs
+// its worker no heap allocation.
 //
 // Backpressure mirrors the explorer's frontier ring: `try_push` failing on
 // a full inbox makes the *producer* absorb the pressure (spin-yield until a
@@ -45,6 +53,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "subc/runtime/hashing.hpp"
@@ -231,6 +240,11 @@ struct ShardStats {
   /// Decision-latency histogram: index = latency in ticks (clamped to the
   /// timeout), value = decisions. Percentiles merge across shards exactly.
   std::vector<std::int64_t> latency_hist;
+  /// Decide callbacks that threw. The worker catches the exception and goes
+  /// on; the instance lingers and is reclaimed as usual.
+  std::int64_t callback_failures = 0;
+  /// `what()` of the first callback exception (empty when none threw).
+  std::string first_callback_error;
 };
 
 /// What an open request declares about its instance.
@@ -258,7 +272,9 @@ struct OpSpec {
 
 class ShardedService {
  public:
-  /// Called by the deciding shard's worker thread, instance still live.
+  /// Called by the deciding shard's worker thread, instance still live. An
+  /// exception it throws is caught and counted in the shard's stats
+  /// (`callback_failures`), never rethrown.
   using DecidedCallback = std::function<void(const DecidedView&)>;
 
   explicit ShardedService(const ServiceOptions& opts,

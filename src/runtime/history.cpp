@@ -17,12 +17,16 @@ struct ValueBufPool {
 };
 thread_local ValueBufPool tl_value_buf_pool;
 
-std::vector<Value> acquire_buf(std::span<const Value> init) {
+/// A buffer holding `init`: one of `spare` if it has any, else one from the
+/// thread-local pool, else a fresh one.
+std::vector<Value> acquire_buf(std::vector<std::vector<Value>>& spare,
+                               std::span<const Value> init) {
+  std::vector<std::vector<Value>>& from =
+      spare.empty() ? tl_value_buf_pool.free : spare;
   std::vector<Value> buf;
-  ValueBufPool& pool = tl_value_buf_pool;
-  if (!pool.free.empty()) {
-    buf = std::move(pool.free.back());
-    pool.free.pop_back();
+  if (!from.empty()) {
+    buf = std::move(from.back());
+    from.pop_back();
   }
   buf.assign(init.begin(), init.end());
   return buf;
@@ -45,12 +49,19 @@ History::~History() {
     release_buf(std::move(e.op));
     release_buf(std::move(e.response));
   }
+  for (std::vector<Value>& buf : spare_) {
+    release_buf(std::move(buf));
+  }
 }
 
 void History::clear() {
   for (HistoryEntry& e : entries_) {
-    release_buf(std::move(e.op));
-    release_buf(std::move(e.response));
+    for (std::vector<Value>* buf : {&e.op, &e.response}) {
+      if (buf->capacity() != 0) {
+        buf->clear();
+        spare_.push_back(std::move(*buf));
+      }
+    }
   }
   entries_.clear();
   clock_ = 0;
@@ -59,7 +70,7 @@ void History::clear() {
 std::size_t History::invoke(int pid, std::span<const Value> op) {
   HistoryEntry e;
   e.pid = pid;
-  e.op = acquire_buf(op);
+  e.op = acquire_buf(spare_, op);
   e.invoked_at = clock_++;
   entries_.push_back(std::move(e));
   const std::size_t handle = entries_.size() - 1;
@@ -78,7 +89,7 @@ void History::respond(std::size_t handle, std::span<const Value> response) {
   if (!e.pending()) {
     throw SimError("respond: operation already completed");
   }
-  e.response = acquire_buf(response);
+  e.response = acquire_buf(spare_, response);
   e.responded_at = clock_++;
   if (sink_ != nullptr) {
     sink_->on_respond(e.pid, handle, e.responded_at, e.response);

@@ -67,10 +67,39 @@ InstanceId InstanceTable::open(InstanceKind kind, int a, int b,
 
 InstanceId InstanceTable::open_assigned(InstanceId id, InstanceKind kind,
                                         int a, int b, std::int64_t now) {
+  return open_block(id, kind, a, b, now).id;
+}
+
+std::size_t InstanceTable::probe(InstanceId id) const noexcept {
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t i = detail::fp_instance_domain(id) & mask;;
+       i = (i + 1) & mask) {
+    if (index_[i].id == id || index_[i].id == 0) {
+      return i;
+    }
+  }
+}
+
+void InstanceTable::grow_index() {
+  std::vector<IndexSlot> old(index_.size() * 2);
+  old.swap(index_);
+  for (const IndexSlot& slot : old) {
+    if (slot.id != 0) {
+      index_[probe(slot.id)] = slot;
+    }
+  }
+}
+
+InstanceBlock& InstanceTable::open_block(InstanceId id, InstanceKind kind,
+                                         int a, int b, std::int64_t now) {
   if (id == 0) {
     throw SimError("instance id 0 is reserved");
   }
-  if (live_.find(id) != live_.end()) {
+  if (static_cast<std::size_t>(stats_.live + 1) * 2 > index_.size()) {
+    grow_index();
+  }
+  const std::size_t slot = probe(id);
+  if (index_[slot].id == id) {
     throw SimError("instance id already live: " + std::to_string(id));
   }
   validate_open(kind, a, b);  // before acquiring: a bad shape leaks no block
@@ -96,23 +125,27 @@ InstanceId InstanceTable::open_assigned(InstanceId id, InstanceKind kind,
       block->setc.reset(a, b);
       break;
   }
-  live_.emplace(id, block);
+  block->total_weight = 0;
+  block->served_weight = 0;
+  block->spec_k = 0;
+  block->request_fp = 0;
+  block->proposals.clear();
+  block->responses.clear();
+  index_[slot] = IndexSlot{id, block};
   ++stats_.opened;
-  stats_.live = static_cast<std::int64_t>(live_.size());
+  ++stats_.live;
   if (stats_.live > stats_.peak_live) {
     stats_.peak_live = stats_.live;
   }
-  return id;
+  return *block;
 }
 
 InstanceBlock* InstanceTable::find(InstanceId id) noexcept {
-  const auto it = live_.find(id);
-  return it == live_.end() ? nullptr : it->second;
+  return index_[probe(id)].block;  // an empty slot holds nullptr
 }
 
 const InstanceBlock* InstanceTable::find(InstanceId id) const noexcept {
-  const auto it = live_.find(id);
-  return it == live_.end() ? nullptr : it->second;
+  return index_[probe(id)].block;
 }
 
 InstanceBlock& InstanceTable::at(InstanceId id) {
@@ -125,7 +158,11 @@ InstanceBlock& InstanceTable::at(InstanceId id) {
 
 Value InstanceTable::apply(InstanceId id, int pid, int slot, Value v,
                            std::uint64_t choice_seed, bool* hung) {
-  InstanceBlock& block = at(id);
+  return apply(at(id), pid, slot, v, choice_seed, hung);
+}
+
+Value InstanceTable::apply(InstanceBlock& block, int pid, int slot, Value v,
+                           std::uint64_t choice_seed, bool* hung) {
   InstanceOpContext ctx(&block, choice_seed, pid);
   std::size_t handle = 0;
   Value out = kBottom;
@@ -161,7 +198,10 @@ Value InstanceTable::apply(InstanceId id, int pid, int slot, Value v,
 }
 
 void InstanceTable::decide(InstanceId id, std::int64_t now) {
-  InstanceBlock& block = at(id);
+  decide(at(id), now);
+}
+
+void InstanceTable::decide(InstanceBlock& block, std::int64_t now) {
   if (block.phase == InstancePhase::kDecided) {
     return;
   }
@@ -170,36 +210,49 @@ void InstanceTable::decide(InstanceId id, std::int64_t now) {
   ++stats_.decided;
 }
 
-bool InstanceTable::gc(InstanceId id) {
-  const auto it = live_.find(id);
-  if (it == live_.end()) {
-    return false;
+void InstanceTable::release(std::size_t hole) {
+  InstanceBlock* block = index_[hole].block;
+  // Backward shift: pull each later entry of the probe run into the hole
+  // unless its home slot lies cyclically after the hole, so every run stays
+  // unbroken and no tombstone is needed.
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t j = (hole + 1) & mask; index_[j].id != 0;
+       j = (j + 1) & mask) {
+    const std::size_t home = detail::fp_instance_domain(index_[j].id) & mask;
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      index_[hole] = index_[j];
+      hole = j;
+    }
   }
-  InstanceBlock* block = it->second;
-  live_.erase(it);
-  block->history.clear();  // returns entry buffers to the pool
+  index_[hole] = IndexSlot{};
+  block->history.clear();  // keeps its entry buffers for the next instance
   free_.push_back(block);
   ++stats_.gcd;
-  stats_.live = static_cast<std::int64_t>(live_.size());
+  --stats_.live;
+}
+
+bool InstanceTable::gc(InstanceId id) {
+  const std::size_t slot = probe(id);
+  if (index_[slot].block == nullptr) {
+    return false;
+  }
+  release(slot);
   return true;
 }
 
 std::size_t InstanceTable::gc_decided(std::int64_t decided_before) {
   std::size_t reclaimed = 0;
-  for (auto it = live_.begin(); it != live_.end();) {
-    InstanceBlock* block = it->second;
-    if (block->phase == InstancePhase::kDecided &&
+  for (std::size_t i = 0; i < index_.size();) {
+    const InstanceBlock* block = index_[i].block;
+    if (block != nullptr && block->phase == InstancePhase::kDecided &&
         block->decided_at <= decided_before) {
-      it = live_.erase(it);
-      block->history.clear();
-      free_.push_back(block);
-      ++stats_.gcd;
+      // The shift may move a later entry into slot i: look at i again.
+      release(i);
       ++reclaimed;
     } else {
-      ++it;
+      ++i;
     }
   }
-  stats_.live = static_cast<std::int64_t>(live_.size());
   return reclaimed;
 }
 
@@ -208,8 +261,7 @@ std::uint64_t InstanceTable::local_fingerprint(InstanceId id) {
 }
 
 std::uint64_t InstanceTable::world_fingerprint(InstanceId id) {
-  const InstanceBlock& block = at(id);
-  return detail::mix64(block.fp_domain ^ block.fp_local);
+  return at(id).world_fingerprint();
 }
 
 }  // namespace subc

@@ -260,6 +260,8 @@ void ProgressTicker::on_run_begin(int /*num_processes*/) {
   if (g_run_counted == this) {
     g_run_counted = nullptr;  // a later runtime of the same execution
   }
+  const std::lock_guard<std::mutex> lock(mu_);
+  ++runs_;
 }
 
 void ProgressTicker::on_run_end(std::int64_t /*total_steps*/,
@@ -309,7 +311,7 @@ void ProgressTicker::maybe_tick_locked() {
                             static_cast<double>(executions_)
                       : 1.0;
   *out_ << "[progress] execs=" << executions_ << " exec/s=" << rate
-        << " reduced=" << reduced_ << " (x" << factor
+        << " worlds=" << runs_ << " reduced=" << reduced_ << " (x" << factor
         << ") stateful=" << stateful_cuts_ << " violations=" << violations_
         << '\n';
 }
@@ -318,6 +320,7 @@ ProgressTicker::Snapshot ProgressTicker::snapshot() const {
   const std::lock_guard<std::mutex> lock(mu_);
   Snapshot s;
   s.executions = executions_;
+  s.runs = runs_;
   s.reduced = reduced_;
   s.violations = violations_;
   s.stateful_cuts = stateful_cuts_;

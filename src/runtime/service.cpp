@@ -5,7 +5,6 @@
 #include <cstring>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 
 #ifdef __linux__
 #include <pthread.h>
@@ -282,19 +281,8 @@ const std::vector<ShardStats>& ShardedService::stats() const {
 
 namespace {
 
-/// Worker-local per-instance bookkeeping (the table holds object state and
-/// history; the worker holds quorum progress and the audit material).
-struct Meta {
-  unsigned total_weight = 0;
-  unsigned served_weight = 0;
-  int spec_k = 0;
-  bool decided = false;
-  std::uint64_t request_fp = 0;
-  std::int64_t opened_tick = 0;
-  std::vector<Value> proposals;
-  std::vector<Value> responses;
-};
-
+/// An op waiting in a delay lane. It keeps the id, not the block: a block
+/// reclaimed and reopened under a new id before the op's tick misses.
 struct PendingOp {
   ServiceId id = 0;
   int validator = 0;
@@ -302,6 +290,77 @@ struct PendingOp {
   int slot = 0;
   Value value = kBottom;
 };
+
+/// Entries waiting for a virtual tick, in lanes indexed by tick modulo the
+/// lane count. The lanes share one node pool: a lane is a FIFO list through
+/// the pool, and a drained lane's nodes go to a free list. So the wheel
+/// allocates only when more entries wait at once than ever before, however
+/// they spread over the lanes (a vector per lane grows until every lane has
+/// seen its own peak).
+template <typename T>
+class DelayWheel {
+ public:
+  explicit DelayWheel(std::size_t lanes) : lanes_(lanes) {}
+
+  void push(std::size_t lane, const T& item) {
+    std::uint32_t n = free_;
+    if (n == kNil) {
+      n = static_cast<std::uint32_t>(nodes_.size());
+      nodes_.push_back(Node{item, kNil});
+    } else {
+      free_ = nodes_[n].next;
+      nodes_[n] = Node{item, kNil};
+    }
+    Lane& l = lanes_[lane];
+    if (l.head == kNil) {
+      l.head = n;
+    } else {
+      nodes_[l.tail].next = n;
+    }
+    l.tail = n;
+    ++waiting_;
+  }
+
+  /// Calls `f` on each entry of `lane` in push order and frees the lane.
+  /// `f` must not push into this wheel.
+  template <typename F>
+  void drain(std::size_t lane, F&& f) {
+    Lane& l = lanes_[lane];
+    for (std::uint32_t n = l.head; n != kNil;) {
+      f(nodes_[n].item);
+      const std::uint32_t next = nodes_[n].next;
+      nodes_[n].next = free_;
+      free_ = n;
+      n = next;
+      --waiting_;
+    }
+    l = Lane{};
+  }
+
+  [[nodiscard]] std::size_t waiting() const noexcept { return waiting_; }
+
+ private:
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+  struct Node {
+    T item;
+    std::uint32_t next;
+  };
+  struct Lane {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+  };
+
+  std::vector<Node> nodes_;
+  std::vector<Lane> lanes_;
+  std::uint32_t free_ = kNil;
+  std::size_t waiting_ = 0;
+};
+
+void note_callback_failure(ShardStats& st, const char* what) {
+  if (st.callback_failures++ == 0) {
+    st.first_callback_error = what;
+  }
+}
 
 }  // namespace
 
@@ -324,17 +383,18 @@ void ShardedService::worker_main(int shard) {
 #endif
 
   Shard& sh = *shards_[static_cast<std::size_t>(shard)];
+  // The table holds every live instance's object state, history and quorum
+  // bookkeeping; one probe of its id index finds all three.
   InstanceTable table;
-  std::unordered_map<ServiceId, Meta> metas;
   // Time-ordered lanes over the virtual clock, ring-indexed by tick — the
   // same shape as the pre-sharding soak harness. Every schedule offset
   // (op delay ≤ horizon, deadline = timeout, GC = linger) fits in R.
   const std::size_t ring =
       static_cast<std::size_t>(opts_.horizon_ticks + opts_.timeout_ticks +
                                opts_.linger_ticks + 2);
-  std::vector<std::vector<PendingOp>> op_ring(ring);
-  std::vector<std::vector<ServiceId>> gc_ring(ring);
-  std::vector<std::vector<ServiceId>> deadline_ring(ring);
+  DelayWheel<PendingOp> op_lanes(ring);
+  DelayWheel<ServiceId> gc_lanes(ring);
+  DelayWheel<ServiceId> deadline_lanes(ring);
   st.latency_hist.assign(static_cast<std::size_t>(opts_.timeout_ticks) + 1,
                          0);
 
@@ -355,25 +415,24 @@ void ShardedService::worker_main(int shard) {
           return;
         }
       }
-      table.open_assigned(msg.id, msg.ikind, msg.a, msg.b, tick);
+      InstanceBlock& block =
+          table.open_block(msg.id, msg.ikind, msg.a, msg.b, tick);
       ++st.opened;
-      Meta meta;
-      meta.total_weight = msg.total_weight;
-      meta.spec_k = msg.spec_k;
-      meta.request_fp = msg.request_fp;
-      meta.opened_tick = tick;
-      metas.emplace(msg.id, std::move(meta));
-      deadline_ring[lane(tick + opts_.timeout_ticks)].push_back(msg.id);
+      block.total_weight = msg.total_weight;
+      block.spec_k = msg.spec_k;
+      block.request_fp = msg.request_fp;
+      deadline_lanes.push(lane(tick + opts_.timeout_ticks), msg.id);
       return;
     }
     ++st.msgs_op;
-    const auto it = metas.find(msg.id);
-    if (it == metas.end()) {
+    InstanceBlock* block = table.find(msg.id);
+    if (block == nullptr) {
       ++st.orphan_ops;  // dedup'd open, or instance already reclaimed
       return;
     }
-    it->second.proposals.push_back(msg.value);
-    op_ring[lane(tick + msg.delay)].push_back(
+    block->proposals.push_back(msg.value);
+    op_lanes.push(
+        lane(tick + msg.delay),
         PendingOp{msg.id, msg.validator, msg.weight, msg.slot, msg.value});
   };
 
@@ -394,7 +453,7 @@ void ShardedService::worker_main(int shard) {
         // Drain-out mode: exit once the inbox is empty and every pending
         // instance has decided+lingered or timed out; tick freely until
         // then — virtual time needs no pacing once admission has stopped.
-        if (metas.empty()) {
+        if (table.stats().live == 0) {
           if (!sh.inbox.try_pop(msg)) {
             break;
           }
@@ -414,7 +473,7 @@ void ShardedService::worker_main(int shard) {
           sh.cv.wait_for(lk, std::chrono::microseconds(200));
           sh.parked.store(false, std::memory_order_release);
         }
-        if (metas.empty()) {
+        if (table.stats().live == 0) {
           continue;  // nothing to tick until input arrives
         }
       }
@@ -425,94 +484,92 @@ void ShardedService::worker_main(int shard) {
     ++tick;
     ++st.ticks;
 
-    auto& ops = op_ring[lane(tick)];
-    for (const PendingOp& op : ops) {
-      const auto it = metas.find(op.id);
-      if (it == metas.end()) {
+    op_lanes.drain(lane(tick), [&](const PendingOp& op) {
+      InstanceBlock* block = table.find(op.id);
+      if (block == nullptr) {
         ++st.skipped_ops;  // reclaimed between scheduling and arrival
-        continue;
+        return;
       }
-      Meta& meta = it->second;
       bool hung = false;
       const Value out = table.apply(
-          op.id, op.validator, op.slot, op.value,
+          *block, op.validator, op.slot, op.value,
           detail::mix64(op.id ^ static_cast<std::uint64_t>(op.validator)),
           &hung);
       ++st.ops;
       if (hung) {
         ++st.hung_ops;
-        continue;
+        return;
       }
-      meta.responses.push_back(out);
-      meta.served_weight += op.weight;
-      if (!meta.decided &&
-          static_cast<std::uint64_t>(meta.served_weight) * opts_.quorum_den >=
-              static_cast<std::uint64_t>(meta.total_weight) *
+      block->responses.push_back(out);
+      block->served_weight += op.weight;
+      if (block->phase == InstancePhase::kDecided ||
+          static_cast<std::uint64_t>(block->served_weight) *
+                  opts_.quorum_den <
+              static_cast<std::uint64_t>(block->total_weight) *
                   opts_.quorum_num) {
-        meta.decided = true;
-        table.decide(op.id, tick);
-        ++st.decided;
-        const std::int64_t latency = tick - meta.opened_tick;
-        const auto bucket = static_cast<std::size_t>(
-            latency < 0 ? 0
-            : latency >= static_cast<std::int64_t>(st.latency_hist.size())
-                ? st.latency_hist.size() - 1
-                : static_cast<std::size_t>(latency));
-        ++st.latency_hist[bucket];
-        const Value decided_value = meta.responses.front();
-        if (meta.request_fp != 0 &&
-            memo_.record(detail::fp_request_domain(meta.request_fp),
-                         decided_value)) {
-          ++st.dedup_records;
-        }
-        if (on_decided_) {
-          DecidedView view;
-          view.shard = shard;
-          view.id = op.id;
-          view.block = &table.at(op.id);
-          view.proposals = &meta.proposals;
-          view.responses = &meta.responses;
-          view.spec_k = meta.spec_k;
-          view.decided = decided_value;
-          view.latency_ticks = latency;
-          view.world_fp = table.world_fingerprint(op.id);
-          on_decided_(view);
-        }
-        gc_ring[lane(tick + opts_.linger_ticks)].push_back(op.id);
+        return;
       }
-    }
-    ops.clear();
+      table.decide(*block, tick);
+      ++st.decided;
+      const std::int64_t latency = tick - block->opened_at;
+      const auto bucket = static_cast<std::size_t>(
+          latency < 0 ? 0
+          : latency >= static_cast<std::int64_t>(st.latency_hist.size())
+              ? st.latency_hist.size() - 1
+              : static_cast<std::size_t>(latency));
+      ++st.latency_hist[bucket];
+      const Value decided_value = block->responses.front();
+      if (block->request_fp != 0 &&
+          memo_.record(detail::fp_request_domain(block->request_fp),
+                       decided_value)) {
+        ++st.dedup_records;
+      }
+      if (on_decided_) {
+        DecidedView view;
+        view.shard = shard;
+        view.id = op.id;
+        view.block = block;
+        view.proposals = &block->proposals;
+        view.responses = &block->responses;
+        view.spec_k = block->spec_k;
+        view.decided = decided_value;
+        view.latency_ticks = latency;
+        view.world_fp = block->world_fingerprint();
+        // A throwing callback must not end the worker: the instance still
+        // lingers and is reclaimed, so stop()'s drain-out ends.
+        try {
+          on_decided_(view);
+        } catch (const std::exception& e) {
+          note_callback_failure(st, e.what());
+        } catch (...) {
+          note_callback_failure(st, "a non-standard exception");
+        }
+      }
+      gc_lanes.push(lane(tick + opts_.linger_ticks), op.id);
+    });
 
-    auto& gcs = gc_ring[lane(tick)];
-    for (const ServiceId id : gcs) {
+    gc_lanes.drain(lane(tick), [&](ServiceId id) {
       if (table.gc(id)) {
         ++st.gc_sweeps;
       }
-      metas.erase(id);
-    }
-    gcs.clear();
+    });
 
-    auto& deadlines = deadline_ring[lane(tick)];
-    for (const ServiceId id : deadlines) {
-      const auto it = metas.find(id);
-      if (it == metas.end() || it->second.decided) {
-        continue;  // already reclaimed, or decided and waiting out linger
+    deadline_lanes.drain(lane(tick), [&](ServiceId id) {
+      const InstanceBlock* block = table.find(id);
+      if (block == nullptr || block->phase == InstancePhase::kDecided) {
+        return;  // already reclaimed, or decided and waiting out linger
       }
       table.gc(id);
       ++st.gc_sweeps;
-      metas.erase(it);
       ++st.timed_out;
-    }
-    deadlines.clear();
+    });
   }
 
   // Ops still waiting in a lane belong to instances already reclaimed (the
-  // loop exits only with `metas` empty): a timed-out instance whose late
+  // loop exits only with the table empty): a timed-out instance whose late
   // op was scheduled past its deadline. Count them as the tick that would
   // have reached them does.
-  for (const auto& pending : op_ring) {
-    st.skipped_ops += static_cast<std::int64_t>(pending.size());
-  }
+  st.skipped_ops += static_cast<std::int64_t>(op_lanes.waiting());
   st.peak_live = table.stats().peak_live;
   st.live_at_exit = table.stats().live;
   st.blocks_carved = table.stats().blocks_carved;

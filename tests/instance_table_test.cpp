@@ -1,17 +1,21 @@
 // Unit tests for the instance layer (runtime/instance.hpp): lifecycle,
-// arena-lease block recycling across GC churn, fingerprint-domain
+// arena-lease block recycling across GC churn, the id index (a shard's
+// sparse slice of ids, deletion while sweeping), fingerprint-domain
 // separation, and same-core agreement with the simulated object forms.
 #include "subc/runtime/instance.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <random>
+#include <utility>
 #include <vector>
 
 #include "subc/checking/linearizability.hpp"
 #include "subc/objects/wrn.hpp"
 #include "subc/runtime/explorer.hpp"
 #include "subc/runtime/runtime.hpp"
+#include "subc/runtime/service.hpp"
 
 namespace subc {
 namespace {
@@ -201,6 +205,115 @@ TEST(InstanceTable, RecycledBlockStartsFresh) {
   EXPECT_EQ(apply_ok(table, b, 0, 0, 10), kBottom);  // slot 1 fresh again
   EXPECT_EQ(table.local_fingerprint(b), a_local)
       << "identical first op on a fresh instance must refold identically";
+
+  // The quorum bookkeeping a service keeps in the block starts fresh too,
+  // while the block keeps the capacity its vectors grew.
+  InstanceBlock& used = table.at(b);
+  used.total_weight = 9;
+  used.served_weight = 6;
+  used.spec_k = 2;
+  used.request_fp = 0xfeed;
+  used.proposals.assign({1, 2, 3});
+  used.responses.assign({4, 5});
+  const InstanceBlock* block = &used;
+  table.decide(b, /*now=*/3);
+  table.gc(b);
+  const InstanceId c = table.open(InstanceKind::kGac, 3, 0, /*now=*/4);
+  const InstanceBlock& fresh = table.at(c);
+  EXPECT_EQ(&fresh, block);  // the same block, recycled
+  EXPECT_EQ(fresh.phase, InstancePhase::kOpen);
+  EXPECT_EQ(fresh.opened_at, 4);
+  EXPECT_EQ(fresh.decided_at, -1);
+  EXPECT_EQ(fresh.total_weight, 0u);
+  EXPECT_EQ(fresh.served_weight, 0u);
+  EXPECT_EQ(fresh.spec_k, 0);
+  EXPECT_EQ(fresh.request_fp, 0u);
+  EXPECT_TRUE(fresh.proposals.empty());
+  EXPECT_TRUE(fresh.responses.empty());
+  EXPECT_GE(fresh.proposals.capacity(), 3u);
+  EXPECT_TRUE(fresh.history.entries().empty());
+  EXPECT_EQ(fresh.fp_local, 0u);
+  EXPECT_EQ(apply_ok(table, c, 0, 0, 7), 7);  // GAC(3, 0): first arrival
+  EXPECT_EQ(fresh.history.entries().size(), 1u);
+  EXPECT_EQ(fresh.history.entries()[0].invoked_at, 0);
+}
+
+TEST(InstanceTable, IdIndexServesOneShardsSliceOfIds) {
+  // A shard's table sees only the ids routed to it: with 4 shards the low
+  // bits of mix64(id) are fixed for every id it hosts. The index hashes ids
+  // independently of the route, so such a slice probes as well as dense
+  // ids. 50k opens with about 2k live, reclaimed in random order: every
+  // live id finds its own block, every reclaimed id misses.
+  InstanceTable table;
+  std::mt19937_64 rng(0x5eed);
+  std::vector<InstanceId> live;
+  std::vector<InstanceId> reclaimed;
+  InstanceId next = 0;
+  const auto check = [&] {
+    for (const InstanceId id : live) {
+      const InstanceBlock* block = table.find(id);
+      ASSERT_NE(block, nullptr) << "live id " << id << " missed";
+      EXPECT_EQ(block->id, id);
+    }
+    for (const InstanceId id : reclaimed) {
+      ASSERT_EQ(table.find(id), nullptr) << "reclaimed id " << id << " hit";
+    }
+  };
+  for (int opened = 0; opened < 50'000; ++opened) {
+    do {
+      ++next;
+    } while (ShardedService::shard_of(next, 4) != 1);
+    table.open_assigned(next, InstanceKind::kGac, 3, 0);
+    live.push_back(next);
+    if (live.size() > 2'000) {
+      const std::size_t victim = rng() % live.size();
+      std::swap(live[victim], live.back());
+      ASSERT_TRUE(table.gc(live.back()));
+      reclaimed.push_back(live.back());
+      live.pop_back();
+    }
+    if (opened % 10'000 == 9'999) {
+      check();
+    }
+  }
+  check();
+  EXPECT_EQ(table.stats().live, static_cast<std::int64_t>(live.size()));
+  EXPECT_EQ(table.stats().opened, 50'000);
+  EXPECT_EQ(table.stats().blocks_carved, table.stats().peak_live);
+  // Draining the rest leaves an empty index.
+  for (const InstanceId id : live) {
+    ASSERT_TRUE(table.gc(id));
+  }
+  for (const InstanceId id : live) {
+    EXPECT_EQ(table.find(id), nullptr);
+  }
+  EXPECT_EQ(table.stats().live, 0);
+}
+
+TEST(InstanceTable, GcDecidedRemovesExactlyTheDecided) {
+  // Every other instance decided: the sweep deletes from the index while it
+  // walks it, and a deletion shifts later entries back into the slot just
+  // visited. None of them may be skipped, and none reclaimed wrongly.
+  InstanceTable table;
+  std::vector<InstanceId> ids;
+  for (int i = 0; i < 1'000; ++i) {
+    ids.push_back(table.open(InstanceKind::kOneShotWrn, 2, 0, /*now=*/0));
+  }
+  for (std::size_t i = 0; i < ids.size(); i += 2) {
+    table.decide(ids[i], /*now=*/1);
+  }
+  EXPECT_EQ(table.gc_decided(/*decided_before=*/1), 500u);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (i % 2 == 0) {
+      EXPECT_EQ(table.find(ids[i]), nullptr) << "decided id " << ids[i];
+    } else {
+      ASSERT_NE(table.find(ids[i]), nullptr) << "open id " << ids[i];
+      EXPECT_EQ(table.at(ids[i]).phase, InstancePhase::kOpen);
+    }
+  }
+  EXPECT_EQ(table.stats().live, 500);
+  EXPECT_EQ(table.stats().gcd, 500);
+  EXPECT_EQ(table.gc_decided(/*decided_before=*/100), 0u);
 }
 
 TEST(InstanceTable, InstanceCoreMatchesSimulatedObject) {

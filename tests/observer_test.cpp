@@ -263,7 +263,44 @@ TEST(ProgressTicker, CountsExecutionsAndEmitsLines) {
   // One line per completed execution at period 0, each carrying the tallies.
   const std::string out = sink.str();
   EXPECT_NE(out.find("[progress] execs="), std::string::npos);
+  EXPECT_NE(out.find(" worlds="), std::string::npos);
   EXPECT_NE(out.find("violations=0"), std::string::npos);
+}
+
+TEST(ProgressTicker, RunsCountWorldsBuilt) {
+  // The mixed world: each process alternates a write to its own register
+  // with a write to a shared one. A default search builds one world per
+  // execution (source sets cut none), so runs equal executions.
+  const ExecutionBody body = [](ScheduleDriver& driver) {
+    Runtime rt;
+    Register<> shared(0);
+    RegisterArray<> own(3, 0);
+    for (int p = 0; p < 3; ++p) {
+      rt.add_process([&, p](Context& ctx) {
+        for (int s = 0; s < 4; ++s) {
+          if (s % 2 == 0) {
+            own[p].write(ctx, s);
+          } else {
+            shared.write(ctx, p);
+          }
+        }
+      });
+    }
+    rt.run(driver);
+  };
+  ProgressTicker ticker(/*period_seconds=*/1e9, nullptr);
+  AccessCounters counters;
+  ObserverChain chain({&ticker, &counters});
+  Explorer::Options opts;
+  opts.observer = &chain;
+  const auto result = Explorer::explore(body, opts);
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result.complete);
+  EXPECT_GT(result.executions, 1);
+  const auto snap = ticker.snapshot();
+  EXPECT_EQ(snap.executions, result.executions);
+  EXPECT_EQ(snap.runs, result.executions);
+  EXPECT_EQ(snap.runs, counters.runs());
 }
 
 TEST(ProgressTicker, TracksReductionSkips) {
@@ -399,6 +436,9 @@ TEST(ProgressTicker, CutRunsAreNeitherExecutionsNorViolations) {
       EXPECT_GT(result.stateful_cuts, 0);
     }
     EXPECT_EQ(ticker.snapshot().executions, result.executions);
+    // The ticker counts every world that began, cut or not.
+    EXPECT_EQ(ticker.snapshot().runs, counters.runs());
+    EXPECT_GT(ticker.snapshot().runs, result.executions);
     EXPECT_EQ(ticker.snapshot().stateful_cuts, result.stateful_cuts);
     EXPECT_EQ(collector.count(), 0);
     EXPECT_EQ(counters.violations(), 0);

@@ -3,8 +3,9 @@
 // shard tables), the cross-shard decision memo's exactly-one-winner rule
 // and its window (what it keeps, in fixed memory, across concurrent
 // rotations), dedup short-circuiting of replayed requests,
-// backpressured inboxes that never drop accepted ops, and drained tables
-// at exit. Run under TSan by `scripts/check.sh --service-smoke`.
+// backpressured inboxes that never drop accepted ops, drained tables at
+// exit, and a throwing decide callback that is counted, not fatal. Run
+// under TSan by `scripts/check.sh --service-smoke`.
 #include "subc/runtime/service.hpp"
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -486,6 +488,40 @@ TEST(ShardedService, UnreachableQuorumTimesOutAndDrainsTheTables) {
     EXPECT_EQ(st.gc_sweeps, st.opened);
   }
   EXPECT_EQ(timed_out, kInstances);
+}
+
+TEST(ShardedService, ThrowingDecideCallbackIsCountedNotFatal) {
+  // An exception out of the decide callback must not leave the worker's
+  // thread (that would terminate the process). The worker counts it, keeps
+  // the first message, and still reclaims the instance, so stop() drains.
+  std::atomic<std::int64_t> calls{0};
+  ShardedService svc(fast_options(2), [&](const DecidedView& /*view*/) {
+    if (calls.fetch_add(1) % 3 == 2) {
+      throw std::runtime_error("audit rejected the decision");
+    }
+  });
+  constexpr int kInstances = 60;
+  for (int i = 0; i < kInstances; ++i) {
+    open_consensus(svc, 100 * (i + 1));
+  }
+  svc.stop();
+
+  std::int64_t decided = 0;
+  std::int64_t failures = 0;
+  for (const ShardStats& st : svc.stats()) {
+    EXPECT_EQ(st.live_at_exit, 0);
+    EXPECT_EQ(st.gc_sweeps, st.opened);
+    decided += st.decided;
+    failures += st.callback_failures;
+    if (st.callback_failures > 0) {
+      EXPECT_EQ(st.first_callback_error, "audit rejected the decision");
+    } else {
+      EXPECT_TRUE(st.first_callback_error.empty());
+    }
+  }
+  EXPECT_EQ(decided, kInstances);
+  EXPECT_EQ(calls.load(), decided);
+  EXPECT_EQ(failures, decided / 3);
 }
 
 TEST(ShardedService, ClientSideValidationAndStopSemantics) {
