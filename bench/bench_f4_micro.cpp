@@ -310,8 +310,7 @@ subc_bench::Json measure_per_step_ns() {
 
 // Direct (non-google-benchmark) explorer rate measurement for the JSON
 // artifact: one larger tree (3 procs × 4 reads), serial vs parallel, on
-// each execution engine. `--perf-smoke` gates the two serial rates
-// separately against scripts/perf_baseline/BENCH_F4.json.
+// each execution engine.
 void write_results_json() {
   const int threads = subc_bench::bench_threads();
   const ExecutionBody body = [](ScheduleDriver& driver) {

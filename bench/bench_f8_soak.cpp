@@ -23,9 +23,8 @@
 // Self-gates: zero violations, every shard table drained at exit, ≥ 1000
 // peak live instances per shard, and — only on hosts with ≥ 8 usable cores
 // (4 workers + 4 producers) — ≥ 2.5x aggregate ops/s at 4 shards vs 1.
-// The measured scaling ratio is stamped either way; on smaller hosts the
-// absolute-throughput cells are what scripts/check.sh --perf-smoke gates
-// against the committed baseline.
+// The measured scaling ratio is stamped either way, with the absolute
+// 1-shard and 4-shard throughput cells.
 //
 //   bench_f8_soak [seconds-per-workload] [soak-seconds] [audit-percent]
 //                 (defaults 2, 4, 25; pass 0 seconds to skip a stage —

@@ -8,14 +8,6 @@
 #
 #   scripts/check.sh              full pass (tier-1 + sanitizers + benches)
 #   scripts/check.sh --quick      tier-1 only: build + test suite, nothing else
-#   scripts/check.sh --perf-smoke throughput gate only: Release bench_f4
-#                                 (JSON measurement, microbenches skipped),
-#                                 best of 3 runs, fail on >30% regression of
-#                                 either engine's serial explorer rate
-#                                 (serial_executions_per_sec for fibers,
-#                                 stepped_serial_executions_per_sec for the
-#                                 stepped engine) against the checked-in
-#                                 scripts/perf_baseline/BENCH_F4.json
 #   scripts/check.sh --stepper-smoke engine-equivalence gate only: the
 #                                 equivalence pin and stepped-engine suites
 #                                 under Debug + AddressSanitizer — proves
@@ -48,164 +40,64 @@
 #                                 self-gates on zero violations, >=1000
 #                                 concurrent live instances per shard, and
 #                                 fully drained shard tables at exit
-#   scripts/check.sh --service-smoke sharded-service gate only: the
-#                                 ShardedService suite (routing, shard
-#                                 isolation, dedup-window rotation races,
-#                                 backpressure, drain-at-exit) under
-#                                 ThreadSanitizer — the cross-thread inbox /
-#                                 memo / stop protocol is exactly what TSan
-#                                 watches
+#   scripts/check.sh --tsan       the full pass's ThreadSanitizer stage only:
+#                                 the explorer (serial and parallel walks,
+#                                 source-set reports, checkpoints, tickers
+#                                 in parallel searches), the fiber layer and
+#                                 the sharded service (inboxes, the dedup
+#                                 memo's rotations, stop/drain/join)
+#
+# Wall-clock performance is gated by perfbench (BENCHMARK.json), not here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 QUICK=0
-PERF_SMOKE=0
 STEPPER_SMOKE=0
 CRASH_SMOKE=0
 RECOVERY_SMOKE=0
 STATEFUL_SMOKE=0
 SOAK_SMOKE=0
-SERVICE_SMOKE=0
+TSAN=0
 for arg in "$@"; do
   case "${arg}" in
     --quick) QUICK=1 ;;
-    --perf-smoke) PERF_SMOKE=1 ;;
     --stepper-smoke) STEPPER_SMOKE=1 ;;
     --crash-smoke) CRASH_SMOKE=1 ;;
     --recovery-smoke) RECOVERY_SMOKE=1 ;;
     --stateful-smoke) STATEFUL_SMOKE=1 ;;
     --soak-smoke) SOAK_SMOKE=1 ;;
-    --service-smoke) SERVICE_SMOKE=1 ;;
+    --tsan) TSAN=1 ;;
     *)
-      echo "usage: scripts/check.sh [--quick|--perf-smoke|--stepper-smoke|--crash-smoke|--recovery-smoke|--stateful-smoke|--soak-smoke|--service-smoke]" >&2
+      echo "usage: scripts/check.sh [--quick|--stepper-smoke|--crash-smoke|--recovery-smoke|--stateful-smoke|--soak-smoke|--tsan]" >&2
       exit 2
       ;;
   esac
 done
 
-# --- Perf smoke: a fast standalone throughput gate -----------------------
-# Catches "the refactor quietly halved the explorer" before the expensive
-# sanitizer stages run. 30% headroom absorbs machine noise; real regressions
-# from allocation creep on the hot path are integer factors, not percents.
-if [[ "${PERF_SMOKE}" == "1" ]]; then
-  BASELINE="scripts/perf_baseline/BENCH_F4.json"
-  if [[ ! -f "${BASELINE}" ]]; then
-    echo "perf-smoke: missing baseline ${BASELINE}" >&2
-    exit 2
-  fi
-  cmake -B build-release -G Ninja -DCMAKE_BUILD_TYPE=Release
-  cmake --build build-release --target bench_f4_micro
-  # The short gate runs write their BENCH_<ID>.json into a scratch dir, so
-  # the checked-in bench-results/ stay full-length artifacts and the tree
-  # stays clean.
-  ROOT="$(pwd)"
-  SMOKE_DIR="$(mktemp -d)"
-  trap 'rm -rf "${SMOKE_DIR}"' EXIT
-  extract_field() {
-    # Pull a numeric field out of a flat JSON line (values may be printed
-    # in scientific notation). $1 = field name, $2 = file.
-    sed -n 's/.*"'"$1"'": \([-0-9.eE+]*\).*/\1/p' "$2"
-  }
-  # Both execution engines gate independently: the fiber rate and the
-  # stepped rate are different codepaths through the kernel, and either
-  # can regress without moving the other.
-  BEST_FIBER=0
-  BEST_STEPPED=0
-  for i in 1 2 3; do
-    # stdout/stderr silenced (google-benchmark notes it matched nothing);
-    # a non-zero exit still aborts via set -e.
-    (cd "${SMOKE_DIR}" && "${ROOT}/build-release/bench/bench_f4_micro" \
-        --benchmark_filter='^$' >/dev/null 2>&1)
-    FIBER_RATE="$(extract_field serial_executions_per_sec \
-        "${SMOKE_DIR}/BENCH_F4.json")"
-    STEPPED_RATE="$(extract_field stepped_serial_executions_per_sec \
-        "${SMOKE_DIR}/BENCH_F4.json")"
-    echo "perf-smoke: run ${i}: fiber ${FIBER_RATE} exec/s, stepped ${STEPPED_RATE} exec/s"
-    BEST_FIBER="$(awk -v a="${BEST_FIBER}" -v b="${FIBER_RATE}" \
-        'BEGIN { print (a + 0 > b + 0) ? a + 0 : b + 0 }')"
-    BEST_STEPPED="$(awk -v a="${BEST_STEPPED}" -v b="${STEPPED_RATE}" \
-        'BEGIN { print (a + 0 > b + 0) ? a + 0 : b + 0 }')"
+# --- ThreadSanitizer: guard the explorer's walker and work queue, --------
+# cancellation paths and source-set reports (units hand their demands on
+# the decisions above their roots back to the walker), tickers fed from
+# parallel searches, the fiber layer's TSan integration, and the sharded
+# service's inboxes, dedup memo and stop()/drain/join teardown. The same
+# suites run un-sanitized in tier-1; this stage is the data-race gate (CI
+# runs it as `--tsan`).
+tsan_stage() {
+  local tests=(fiber_test explorer_test parallel_explorer_test reduction_test
+    checkpoint_resume_test equivalence_pin_test observer_test
+    sharded_service_test)
+  cmake -B build-tsan -G Ninja \
+    -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer -g -O1" \
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
+  cmake --build build-tsan --target "${tests[@]}"
+  for t in "${tests[@]}"; do
+    echo "== tsan: ${t}"
+    "build-tsan/tests/${t}"
   done
-  FAIL=0
-  for engine in fiber stepped; do
-    if [[ "${engine}" == "fiber" ]]; then
-      FIELD=serial_executions_per_sec BEST="${BEST_FIBER}"
-    else
-      FIELD=stepped_serial_executions_per_sec BEST="${BEST_STEPPED}"
-    fi
-    BASE_RATE="$(extract_field "${FIELD}" "${BASELINE}")"
-    echo "perf-smoke: ${engine}: best ${BEST} exec/s vs baseline ${BASE_RATE} exec/s"
-    if ! awk -v c="${BEST}" -v b="${BASE_RATE}" \
-        'BEGIN { exit (c + 0 >= 0.7 * (b + 0)) ? 0 : 1 }'; then
-      echo "perf-smoke: FAIL — ${engine} serial explorer throughput regressed >30%" >&2
-      FAIL=1
-    fi
-  done
-  [[ "${FAIL}" == "0" ]] || exit 1
+}
 
-  # Stateful-exploration headline (BENCH_F5): the bench self-gates its
-  # >=5x execution-count win on the convergent mixed cell and exits
-  # non-zero on failure; on top of that, the deterministic
-  # best-mixed-cell factor must not drop below the checked-in baseline's.
-  # Execution counts (not wall clock) make this gate noise-free.
-  F5_BASELINE="scripts/perf_baseline/BENCH_F5.json"
-  if [[ ! -f "${F5_BASELINE}" ]]; then
-    echo "perf-smoke: missing baseline ${F5_BASELINE}" >&2
-    exit 2
-  fi
-  cmake --build build-release --target bench_f5_statespace
-  (cd "${SMOKE_DIR}" && "${ROOT}/build-release/bench/bench_f5_statespace" \
-      >/dev/null)
-  F5_FACTOR="$(extract_field best_mixed_factor "${SMOKE_DIR}/BENCH_F5.json")"
-  F5_BASE="$(extract_field best_mixed_factor "${F5_BASELINE}")"
-  echo "perf-smoke: stateful best mixed-cell factor ${F5_FACTOR}x vs baseline ${F5_BASE}x"
-  if ! awk -v c="${F5_FACTOR}" -v b="${F5_BASE}" \
-      'BEGIN { exit (c + 0 >= b + 0) ? 0 : 1 }'; then
-    echo "perf-smoke: FAIL — stateful exploration factor regressed below baseline" >&2
-    exit 1
-  fi
-
-  # Sharded-service headline (BENCH_F8): aggregate service ops/s at 1 shard
-  # and at 4 shards, best of 2 short runs, each >= 70% of the checked-in
-  # baseline. Absolute per-configuration throughput is the portable signal —
-  # wall-clock scaling across shards is gated inside the bench itself, and
-  # only on hosts with >= 8 usable cores (the bench stamps the measured
-  # ratio everywhere). Short runs land in the scratch dir too.
-  F8_BASELINE="scripts/perf_baseline/BENCH_F8.json"
-  if [[ ! -f "${F8_BASELINE}" ]]; then
-    echo "perf-smoke: missing baseline ${F8_BASELINE}" >&2
-    exit 2
-  fi
-  cmake --build build-release --target bench_f8_soak
-  BEST_1SHARD=0
-  BEST_4SHARD=0
-  for i in 1 2; do
-    (cd "${SMOKE_DIR}" && "${ROOT}/build-release/bench/bench_f8_soak" \
-        0 2 10 >/dev/null)
-    RATE_1="$(extract_field soak_ops_per_sec_1shard "${SMOKE_DIR}/BENCH_F8.json")"
-    RATE_4="$(extract_field soak_ops_per_sec_4shard "${SMOKE_DIR}/BENCH_F8.json")"
-    echo "perf-smoke: run ${i}: service 1-shard ${RATE_1} ops/s, 4-shard ${RATE_4} ops/s"
-    BEST_1SHARD="$(awk -v a="${BEST_1SHARD}" -v b="${RATE_1}" \
-        'BEGIN { print (a + 0 > b + 0) ? a + 0 : b + 0 }')"
-    BEST_4SHARD="$(awk -v a="${BEST_4SHARD}" -v b="${RATE_4}" \
-        'BEGIN { print (a + 0 > b + 0) ? a + 0 : b + 0 }')"
-  done
-  for cell in 1shard 4shard; do
-    if [[ "${cell}" == "1shard" ]]; then
-      FIELD=soak_ops_per_sec_1shard BEST="${BEST_1SHARD}"
-    else
-      FIELD=soak_ops_per_sec_4shard BEST="${BEST_4SHARD}"
-    fi
-    BASE_RATE="$(extract_field "${FIELD}" "${F8_BASELINE}")"
-    echo "perf-smoke: service ${cell}: best ${BEST} ops/s vs baseline ${BASE_RATE} ops/s"
-    if ! awk -v c="${BEST}" -v b="${BASE_RATE}" \
-        'BEGIN { exit (c + 0 >= 0.7 * (b + 0)) ? 0 : 1 }'; then
-      echo "perf-smoke: FAIL — sharded service ${cell} throughput regressed >30%" >&2
-      FAIL=1
-    fi
-  done
-  [[ "${FAIL}" == "0" ]] || exit 1
-  echo "PERF SMOKE PASSED"
+if [[ "${TSAN}" == "1" ]]; then
+  tsan_stage
+  echo "TSAN PASSED"
   exit 0
 fi
 
@@ -310,24 +202,6 @@ if [[ "${SOAK_SMOKE}" == "1" ]]; then
   exit 0
 fi
 
-# --- Service smoke: the sharded-service concurrency gate ------------------
-# The ShardedService suite under ThreadSanitizer: per-shard MPSC inboxes
-# over the Vyukov ring, the park/notify producer-consumer protocol, the
-# windowed DecisionMemo (recorders and readers racing through generation
-# rotations under the per-partition locks, one winner per held key), and
-# the stop()/drain/join teardown are all cross-thread edges — exactly what
-# TSan instruments. The same suite runs un-sanitized in tier-1; this stage
-# is the data-race gate (CI runs it too).
-if [[ "${SERVICE_SMOKE}" == "1" ]]; then
-  cmake -B build-tsan -G Ninja \
-    -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer -g -O1" \
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
-  cmake --build build-tsan --target sharded_service_test
-  build-tsan/tests/sharded_service_test
-  echo "SERVICE SMOKE PASSED"
-  exit 0
-fi
-
 # Per-test wall-clock budget (seconds). Generous: the slowest tier-1 test
 # finishes in well under a minute on a laptop. (Each discovered test also
 # carries its own 120 s ctest TIMEOUT from tests/CMakeLists.txt.)
@@ -366,21 +240,8 @@ cmake --build build-ubsan
 
 ctest --test-dir build-ubsan --output-on-failure --timeout "${CTEST_TIMEOUT}"
 
-# --- ThreadSanitizer: guard the parallel explorer's work queue, -----------
-# cancellation paths and source-set reports (units hand their demands on
-# the decisions above their roots back to the enumerating thread), and the
-# fiber layer's TSan integration.
-cmake -B build-tsan -G Ninja \
-  -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer -g -O1" \
-  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
-cmake --build build-tsan --target fiber_test explorer_test \
-  parallel_explorer_test reduction_test checkpoint_resume_test \
-  equivalence_pin_test sharded_service_test
-for t in fiber_test explorer_test parallel_explorer_test reduction_test \
-    checkpoint_resume_test equivalence_pin_test sharded_service_test; do
-  echo "== tsan: ${t}"
-  "build-tsan/tests/${t}"
-done
+# --- ThreadSanitizer: the stage `--tsan` runs (see tsan_stage above). ----
+tsan_stage
 
 # --- Benches: Release build, JSON artifacts land in bench-results/ -------
 cmake -B build-release -G Ninja -DCMAKE_BUILD_TYPE=Release

@@ -1,12 +1,13 @@
 // Thread-safe violation aggregation for parallel checkers.
 //
-// Parallel exploration (explorer.hpp) partitions the decision tree into work
-// units and assigns each unit the index it would occupy in the *serial* DFS
-// emission order. Violations reported from concurrently running workers are
-// aggregated here; the winner is the candidate with the least canonical
-// index, i.e. exactly the violation the serial explorer would have reported
-// first. That makes failure reports deterministic across runs, thread
-// counts, and scheduling jitter.
+// Parallel checkers index their work in *serial* order — a seed's position
+// in `RandomSweep`'s range, a work unit's position in the explorer's
+// serial-DFS event sequence. Violations reported from concurrently running
+// workers are aggregated here; the winner is the candidate with the least
+// index, i.e. exactly the violation a serial run would have reported first.
+// That makes failure reports deterministic across runs, thread counts, and
+// scheduling jitter. (The explorer takes its verdict from its own canonical
+// fold and uses the log to cancel units that can no longer win.)
 //
 // `best_index()` is a relaxed atomic read so workers can poll it on their
 // hot path as a cooperative-cancellation signal without taking the lock.

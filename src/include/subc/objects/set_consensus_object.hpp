@@ -50,6 +50,14 @@ struct SetConsensusState {
   }
 };
 
+/// Argument validation shared by every set-consensus entry point (throws
+/// SimError on ⊥).
+inline void set_consensus_check_proposal(Value v) {
+  if (v == kBottom) {
+    throw SimError("propose(⊥) is illegal");
+  }
+}
+
 /// The atomic set-consensus propose core: runs inside a granted step (or a
 /// service context) against the explicit state block. The (n+1)-th propose
 /// hangs the process (`ctx.hang()`) and returns ⊥ — stepped/service callers
@@ -58,9 +66,7 @@ struct SetConsensusState {
 /// every path.
 template <class Ctx>
 Value set_consensus_propose(Ctx& ctx, SetConsensusState* st, Value v) {
-  if (v == kBottom) {
-    throw SimError("propose(⊥) is illegal");
-  }
+  set_consensus_check_proposal(v);
   if (st->proposals == st->n) {
     ctx.hang();      // never returns on the fiber engine
     return kBottom;  // stepped/service caller must cut short
@@ -86,9 +92,7 @@ class SetConsensusObject {
 
   /// Proposes `v`; returns an adversarially chosen element of the value set.
   Value propose(Context& ctx, Value v) {
-    if (v == kBottom) {
-      throw SimError("propose(⊥) is illegal");
-    }
+    set_consensus_check_proposal(v);
     ctx.sched_point(id_, AccessKind::kChoose);
     return step_propose(ctx, v);
   }

@@ -1,15 +1,13 @@
 // Bounded multi-producer/multi-consumer ring buffer (Vyukov's algorithm).
 //
 // Used by the parallel explorer to stream frontier work units from the
-// enumerating thread to subtree workers instead of materializing the whole
-// frontier up front: memory stays O(queue capacity × prefix depth) rather
-// than O(subtrees × depth), and workers start exploring while enumeration is
-// still running.
+// walker to subtree workers instead of materializing the whole frontier up
+// front, so workers start exploring while enumeration is still running.
 //
 // Each cell carries a sequence number that encodes both its occupancy and
 // the "lap" of the ring it belongs to, so push and pop are single-CAS
 // operations with no shared locks. Operations never block: `try_push`
-// returns false on a full ring (the explorer's producer then drains a unit
+// returns false on a full ring (the explorer's walker then runs a unit
 // itself — natural backpressure), `try_pop` returns false on an empty one
 // (workers then park on a condition variable owned by the caller).
 #pragma once
@@ -87,7 +85,7 @@ class BoundedQueue {
       }
     }
     out = std::move(cell->value);
-    cell->value = T{};  // drop payload promptly (prefixes can be large)
+    cell->value = T{};  // drop a payload that owns memory promptly
     cell->seq.store(pos + mask_ + 1, std::memory_order_release);
     return true;
   }

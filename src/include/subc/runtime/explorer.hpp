@@ -8,16 +8,17 @@
 // reported together with the decision string that produced it, so failures
 // replay deterministically.
 //
-// With `Options::threads > 1` the search runs in parallel: the tree is first
-// enumerated down to a frontier depth `d`, producing disjoint subtree
-// prefixes in serial-DFS order; a pool of workers then claims subtrees in
-// that order and runs the same restart-DFS inside each. Results are
-// aggregated canonically — the reported violation is the one the *serial*
-// DFS would have found first, and `executions` matches the serial count
-// bit-for-bit (see docs/explorer.md) — so results are independent of thread
-// timing and core count. Execution bodies must be thread-safe under
-// parallel exploration: each invocation builds its own world, and any state
-// shared across invocations must be synchronized.
+// Every search is one walker over the tree in serial-DFS order. With
+// `Options::threads > 1` it cuts its runs at a frontier depth `d` and streams
+// the disjoint subtree prefixes, in that order, to `threads - 1` workers that
+// run the same restart-DFS inside each; at `threads = 1` it has no frontier
+// and no workers and runs the whole tree itself. The walker folds every
+// outcome in canonical order — the reported violation is the one the serial
+// DFS finds first, and `executions` matches the serial count bit-for-bit
+// (see docs/explorer.md) — so results are independent of thread timing and
+// core count. Execution bodies must be thread-safe under parallel
+// exploration: each invocation builds its own world, and any state shared
+// across invocations must be synchronized.
 //
 // For larger instances `RandomSweep` runs many seeded-random executions —
 // the standard randomized analogue — with the same seed-range partitioning
@@ -107,15 +108,16 @@ class Explorer {
     /// count itself is the quantity under test.
     Reduction reduction = Reduction::kSleepSets;
 
-    /// Worker threads for the search. 1 = serial in the calling thread
-    /// (the default); 0 = one worker per hardware thread; n > 1 = exactly n
-    /// workers. Results are identical at every setting.
+    /// Threads for the search: the walker on the calling thread plus
+    /// `threads - 1` workers. 1 = the walker alone, serial (the default);
+    /// 0 = one thread per hardware thread. Results are identical at every
+    /// setting.
     int threads = 1;
 
     /// Depth (in recorded, i.e. arity>=2, decisions) of the partition
     /// frontier used to generate parallel work items. 0 = auto-tune from
     /// the thread count; negative values are rejected with `SimError`.
-    /// Ignored when running serially.
+    /// Ignored at `threads = 1`, which has no frontier.
     int frontier_depth = 0;
 
     /// Optional symmetry/pruning hook, consulted once for every partial
@@ -198,22 +200,14 @@ class Explorer {
     /// serializes its progress watermark to this path (atomic temp+rename;
     /// format in checking/checkpoint.hpp) and writes a final snapshot on
     /// completion. `Explorer::resume(body, path, opts)` continues an
-    /// interrupted campaign to the bit-identical final `Result`. The path
-    /// also enables frontier spilling: when the parallel work-unit ring
-    /// fills, the oldest queued prefixes are spilled to `<path>.spill` and
-    /// re-injected after enumeration instead of stalling the producer.
-    /// Empty (the default) disables both.
+    /// interrupted campaign to the bit-identical final `Result`. Empty (the
+    /// default) writes no snapshots.
     std::string checkpoint_path;
 
-    /// Roughly how many completed executions (serial) or canonical events
-    /// (parallel) between periodic snapshots. Must be positive.
+    /// Roughly how many canonical events — executions and cut subtrees, in
+    /// serial-DFS order — between periodic snapshots, at every thread
+    /// count. Must be positive.
     std::int64_t checkpoint_every = 4096;
-
-    /// Capacity of the parallel frontier work-unit ring (rounded up to a
-    /// power of two, minimum 2). Smaller rings bound in-flight prefixes;
-    /// see `checkpoint_path` for the spill behaviour under pressure. Must
-    /// be non-zero. Ignored when running serially.
-    std::size_t frontier_queue_capacity = 256;
   };
 
   struct Result {

@@ -228,7 +228,9 @@ class InstanceTable {
   /// kinds); `choice_seed` feeds the core's `choose` stream. Returns the
   /// operation's response, or ⊥ with `*hung = true` when the core hung
   /// (capacity exceeded / index reuse) — the history records no response
-  /// for a hung op, mirroring a forever-pending invocation. The id form
+  /// for a hung op, mirroring a forever-pending invocation. An op whose
+  /// parameters the core refuses (a 1sWRN slot outside [0, k), a ⊥ value)
+  /// throws SimError before the history records anything. The id form
   /// throws on an absent id; the block form takes a live block of this
   /// table and does no lookup.
   Value apply(InstanceId id, int pid, int slot, Value v,

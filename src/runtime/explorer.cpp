@@ -4,9 +4,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <exception>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -33,8 +33,12 @@ using Decision = ReplayDriver::Decision;
 // O(executions / kBudgetBatch) times instead of once per execution.
 constexpr std::int64_t kBudgetBatch = 64;
 
-// State shared by every participant of one exploration (the frontier
-// enumerator and all subtree workers).
+// Slots of the ring that streams frontier units to the workers; a full ring
+// makes the walker run a unit itself.
+constexpr std::size_t kRingCapacity = 256;
+
+// State shared by every participant of one exploration (the walker and all
+// subtree workers).
 //
 // Budget protocol (see BudgetScope): `granted` counts budget handed out in
 // batches and not yet returned; completed executions consume from a
@@ -56,11 +60,9 @@ struct SearchState {
   /// step spine, so state reachability is a DAG), the continuations below
   /// an equal pair are behaviour-identical.
   std::unique_ptr<detail::VisitedSet> visited;
+  /// Violations by canonical index: units behind the least one cannot win
+  /// and stop.
   ViolationLog log;
-  // Stuck-execution diagnostics, aggregated like violations (least canonical
-  // index wins) but on a separate log: a stuck execution never cancels work
-  // — the search continues past it.
-  ViolationLog stuck_log;
 
   std::mutex mu;
   std::condition_variable cv;
@@ -147,28 +149,8 @@ class BudgetScope {
   bool holder_ = false;
 };
 
-// One entry of the canonical (serial-DFS-order) emission sequence, and what
-// one attempt to run the body amounted to: a completed execution (clean,
-// violating or stuck), or a subtree the driver cut — pruned, reduction-
-// skipped, stateful-cut, or a frontier work unit (a depth-d prefix whose
-// subtree a worker explores). Every event additionally carries the
-// reduction skips that occurred at (and, in the frontier enumeration, while
-// advancing past) it, so that tallies truncated at a winning violation stay
-// exact.
-struct UnitRecord;
-
-struct EventMeta {
-  enum class Kind { kExecution, kPruned, kSkip, kStateful, kUnit };
-  Kind kind = Kind::kExecution;
-  std::int64_t reduced = 0;
-  bool crashed = false;    ///< kExecution: >= 1 crash landed in the execution
-  bool recovered = false;  ///< kExecution: >= 1 recovery landed
-  bool stuck = false;      ///< kExecution: cut by the step-quota watchdog
-  UnitRecord* unit = nullptr;  ///< kUnit in the parallel search: its record
-};
-
 // The tallies every search reports, summed the same way wherever they meet:
-// per event, per work unit, per snapshot and per Result.
+// per attempt, per work unit, per snapshot and per Result.
 struct Tally {
   std::int64_t executions = 0;
   std::int64_t pruned = 0;
@@ -187,30 +169,6 @@ struct Tally {
     stuck += o.stuck;
     stateful += o.stateful;
     return *this;
-  }
-  friend Tally operator+(Tally a, const Tally& b) { return a += b; }
-
-  // Counts one event. A unit's own subtree is carried by its worker's
-  // SubtreeStats and added separately.
-  void add(const EventMeta& ev) {
-    reduced += ev.reduced;
-    switch (ev.kind) {
-      case EventMeta::Kind::kExecution:
-        ++executions;
-        crashed += ev.crashed ? 1 : 0;
-        recovered += ev.recovered ? 1 : 0;
-        stuck += ev.stuck ? 1 : 0;
-        break;
-      case EventMeta::Kind::kPruned:
-        ++pruned;
-        break;
-      case EventMeta::Kind::kStateful:
-        ++stateful;
-        break;
-      case EventMeta::Kind::kSkip:  // carried entirely in `reduced`
-      case EventMeta::Kind::kUnit:
-        break;
-    }
   }
 };
 
@@ -278,11 +236,9 @@ std::string stuck_message_for(std::int64_t quota) {
          ") exceeded";
 }
 
-// The snapshot every checkpoint of one search starts from: the option echo
-// plus the watermark a resumed search inherited (zero tallies on a fresh
-// explore). Periodic snapshots add the current progress on top.
-ExplorerSnapshot snapshot_proto(const Explorer::Options& opts,
-                                const ExplorerSnapshot* base) {
+// The snapshot every checkpoint of one search starts from: the echo of the
+// options that shape the search. Snapshots add the progress on top.
+ExplorerSnapshot snapshot_proto(const Explorer::Options& opts) {
   ExplorerSnapshot s;
   s.max_executions = opts.max_executions;
   s.max_crashes = opts.max_crashes;
@@ -290,23 +246,8 @@ ExplorerSnapshot snapshot_proto(const Explorer::Options& opts,
   s.step_quota = opts.step_quota;
   s.reduction = opts.reduction == Reduction::kSleepSets;
   s.stateful = opts.stateful;
-  if (base != nullptr) {
-    store(tally_of(*base), s);
-    s.stuck_message = base->stuck_message;
-    s.stuck_trace = base->stuck_trace;
-  }
   return s;
 }
-
-// Periodic-checkpoint plumbing for the serial search: the restart-DFS state
-// is just (tallies, next prefix), so a snapshot is written straight from the
-// loop in explore_subtree.
-struct SerialCheckpoint {
-  const std::string* path = nullptr;
-  std::int64_t every = 0;
-  const ExplorerSnapshot* proto = nullptr;
-  std::int64_t last = 0;  ///< executions at the previous snapshot
-};
 
 // True when sleep-set metadata recorded at `d` says option `chosen` is
 // redundant: its process was asleep when the decision point was first
@@ -411,7 +352,7 @@ std::optional<std::string> run_driven(const ExecutionBody& body,
 }
 
 // The driver of one explorer execution, configured from the search options
-// (the frontier enumeration adds its decision limit).
+// (a walker with workers adds its decision limit).
 ReplayDriver make_driver(std::vector<Decision> prefix,
                          const Explorer::Options& opts,
                          const SearchState& state,
@@ -430,54 +371,50 @@ ReplayDriver make_driver(std::vector<Decision> prefix,
   return driver;
 }
 
-// What one run of the body under the explorer's driver amounted to.
-struct Attempt {
-  EventMeta event;
+// Runs the body once and counts what the run amounted to into `t`, by the
+// driver's cut, the violation and the watchdog: one execution (clean,
+// violating or stuck) or one cut subtree — pruned, reduction-skipped,
+// stateful-cut, or a frontier work unit (a prefix whose subtree its worker
+// counts). Cuts are probes, not executions: only executions consume
+// budget. A stuck run did real work, so it counts as a (stuck) execution;
+// its unexplored continuations are truncated. Returns the violation.
+std::optional<std::string> attempt(const ExecutionBody& body,
+                                   ReplayDriver& driver,
+                                   const Explorer::Options& opts, Tally& t) {
   std::optional<std::string> violation;
-};
-
-// Runs the body once and classifies the run by the driver's cut, the
-// violation and the watchdog. Cuts are probes, not executions: only
-// kExecution events consume budget. A stuck run did real work, so it counts
-// as a (stuck) execution; its unexplored continuations are truncated.
-Attempt attempt(const ExecutionBody& body, ReplayDriver& driver,
-                const Explorer::Options& opts) {
-  Attempt out;
-  EventMeta& ev = out.event;
   try {
-    out.violation = run_driven(body, driver, opts.observer, &driver);
+    violation = run_driven(body, driver, opts.observer, &driver);
   } catch (const StuckCut&) {
-    ev.stuck = true;
+    ++t.stuck;
     if (opts.observer != nullptr) {
       opts.observer->on_stuck(stuck_message_for(opts.step_quota));
     }
   }
-  ev.reduced = driver.reduced();
+  t.reduced += driver.reduced();
   switch (driver.cut()) {
     case ReplayDriver::Cut::kNone:
-      ev.crashed = driver.crashes() > 0;
-      ev.recovered = driver.recoveries() > 0;
+      ++t.executions;
+      t.crashed += driver.crashes() > 0 ? 1 : 0;
+      t.recovered += driver.recoveries() > 0 ? 1 : 0;
       break;
-    case ReplayDriver::Cut::kSleep:
-      ev.kind = EventMeta::Kind::kSkip;  // a redundant subtree
+    case ReplayDriver::Cut::kSleep:  // a redundant subtree, in `reduced`
       break;
     case ReplayDriver::Cut::kStateful:
       // The (state, sleep-set) pair at this decision point was already
       // explored: the subtree below is behaviour-identical to one already
       // searched (above the frontier: the whole subtree, units included).
-      ev.kind = EventMeta::Kind::kStateful;
+      ++t.stateful;
       if (opts.observer != nullptr) {
         opts.observer->on_stateful_cut(1);
       }
       break;
     case ReplayDriver::Cut::kPrune:
-      ev.kind = EventMeta::Kind::kPruned;
+      ++t.pruned;
       break;
-    case ReplayDriver::Cut::kFrontier:
-      ev.kind = EventMeta::Kind::kUnit;  // its worker re-runs it and pays
+    case ReplayDriver::Cut::kFrontier:  // its worker re-runs it and pays
       break;
   }
-  return out;
+  return violation;
 }
 
 // Restart-DFS over the subtree rooted at `prefix` (decisions below `floor`
@@ -486,14 +423,11 @@ Attempt attempt(const ExecutionBody& body, ReplayDriver& driver,
 // listed one — on budget exhaustion, or when a canonically earlier work
 // unit has already reported a violation (nothing in this subtree can win
 // then). Under source sets each run's races extend the backtrack lists;
-// those on decisions above `floor` go back to the caller in `above`. When
-// `cp` is non-null (serial top-level search only) the loop periodically
-// snapshots (tallies, next prefix) to the checkpoint file.
+// those on decisions above `floor` go back to the caller in `above`.
 SubtreeStats explore_subtree(const ExecutionBody& body,
                              std::vector<Decision> prefix, std::size_t floor,
                              const Explorer::Options& opts, SearchState& state,
-                             std::uint64_t my_index,
-                             SerialCheckpoint* cp = nullptr) {
+                             std::uint64_t my_index) {
   SubtreeStats stats;
   Tally& tally = stats.tally;
   BudgetScope budget(state);
@@ -508,9 +442,9 @@ SubtreeStats explore_subtree(const ExecutionBody& body,
     }
     const std::int64_t reduced_before = tally.reduced;
     ReplayDriver driver = make_driver(std::move(prefix), opts, state, races);
-    Attempt run = attempt(body, driver, opts);
-    tally.add(run.event);
-    if (run.event.kind == EventMeta::Kind::kExecution) {
+    std::optional<std::string> violation =
+        attempt(body, driver, opts, tally);
+    if (driver.cut() == ReplayDriver::Cut::kNone) {
       budget.consume();
     }
     const std::size_t fresh_from = driver.fresh_from();
@@ -519,13 +453,13 @@ SubtreeStats explore_subtree(const ExecutionBody& body,
     if (races != nullptr) {
       races->run(fresh_from, faulted, trace, floor, stats.above);
     }
-    if (run.violation) {
-      stats.violation = std::move(run.violation);
+    if (violation) {
+      stats.violation = std::move(violation);
       stats.trace = std::move(trace);
       stats.finished = true;
       return stats;
     }
-    if (run.event.stuck && !stats.stuck_message) {
+    if (tally.stuck > 0 && !stats.stuck_message) {  // the first stuck run
       stats.stuck_message = stuck_message_for(opts.step_quota);
       stats.stuck_trace = trace;  // copy: advance() mutates `trace` next
     }
@@ -539,45 +473,25 @@ SubtreeStats explore_subtree(const ExecutionBody& body,
       return stats;
     }
     prefix = std::move(trace);
-    if (cp != nullptr && tally.executions - cp->last >= cp->every) {
-      cp->last = tally.executions;
-      ExplorerSnapshot s = *cp->proto;
-      store(tally_of(s) + tally, s);
-      if (!s.stuck_message && stats.stuck_message) {
-        s.stuck_message = stats.stuck_message;
-        s.stuck_trace = stats.stuck_trace;
-      }
-      s.prefix = prefix;
-      try {
-        save_snapshot(*cp->path, s);
-      } catch (const SimError&) {
-        // A periodic snapshot that still fails after save_snapshot's own
-        // retries must not kill the campaign: the search continues and the
-        // next period (or the final snapshot) tries again. The previous
-        // snapshot stays intact (atomic rename), so resume keeps working —
-        // it just redoes more of the tree.
-      }
-    }
   }
 }
 
 // One frontier work unit: stats filled by whichever thread explores it, the
-// prefix retained by the producer so checkpoints can name the watermark
-// unit's restart point, and a done flag publishing the stats (store-release
-// after the stats are written, load-acquire by the checkpoint scan).
+// prefix retained by the walker so checkpoints can name the watermark unit's
+// restart point, and a done flag publishing the stats (store-release after
+// the stats are written, load-acquire by the fold).
 struct UnitRecord {
   SubtreeStats stats;
   std::vector<Decision> prefix;
   std::atomic<bool> done{false};
 };
 
-// One frontier work unit streamed from the enumerator to a worker. The
-// record is a stable pointer into the producer-owned deque; the event
-// index orders the unit canonically for cancellation and aggregation.
+// One frontier work unit streamed from the walker to a worker. The record
+// is a stable pointer into the walker-owned deque; the event index orders
+// the unit canonically for cancellation.
 struct WorkItem {
   std::uint64_t event_index = 0;
   UnitRecord* record = nullptr;
-  std::vector<Decision> prefix;
 };
 
 // Picks a frontier depth giving roughly 16+ work items per worker (assuming
@@ -592,454 +506,96 @@ std::size_t auto_frontier_depth(int threads) {
   return depth;
 }
 
-Explorer::Result finish_serial(SubtreeStats stats) {
-  Explorer::Result result;
-  store(stats.tally, result);
-  if (stats.stuck_message) {
-    result.first_stuck = StuckExecution{std::move(*stats.stuck_message),
-                                        std::move(stats.stuck_trace)};
-  }
-  if (stats.violation) {
-    result.violation = std::move(stats.violation);
-    result.violating_trace = std::move(stats.trace);
-  } else {
-    // Budget exhaustion leaves `finished` false, so no separate flag needed.
-    result.complete = stats.finished;
-  }
-  return result;
-}
-
-// Streaming parallel exploration: the calling thread enumerates the decision
-// tree down to the frontier depth in serial DFS order, pushing each work
-// unit through a bounded ring to `threads - 1` workers as it is discovered
-// (and draining units itself when the ring backs up, or after enumeration
-// completes). Canonical aggregation afterwards walks the emission sequence
-// in order, truncating at the winning violation, so every reported tally is
-// bit-identical to the serial explorer's regardless of thread timing.
-//
-// Under source sets the enumerator is a walker that never runs ahead of the
-// backtrack lists: it runs each of its own frontier units inline, and
-// applies a unit's demands on the decisions above its root (its `above`
-// list) before advancing, so those lists grow in serial DFS order. An option
-// such a demand adds is pushed as a unit at once — its subtree and sleep
-// set depend only on the options listed before it — and the walker, on
-// reaching it in DFS order, waits for it (running queued units meanwhile)
-// and applies its demands in turn.
-Explorer::Result explore_parallel(const ExecutionBody& body,
-                                  const Explorer::Options& opts, int threads,
-                                  std::vector<Decision> initial_prefix,
-                                  const ExplorerSnapshot& proto,
-                                  std::int64_t budget_total) {
-  SearchState state;
-  state.max_executions = budget_total;
-  if (opts.stateful) {
-    state.visited =
-        std::make_unique<detail::VisitedSet>(
-            static_cast<std::size_t>(opts.stateful_capacity));
-  }
-  const std::size_t depth = opts.frontier_depth > 0
-                                ? static_cast<std::size_t>(opts.frontier_depth)
-                                : auto_frontier_depth(threads);
-  const bool checkpointing = !opts.checkpoint_path.empty();
-  const bool sources = source_sets(opts);
-
-  std::vector<EventMeta> events;        // producer-only until workers join
-  std::deque<UnitRecord> unit_records;  // deque: grows with stable addresses
-  BoundedQueue<WorkItem> queue(opts.frontier_queue_capacity);
-  std::mutex qmu;
-  std::condition_variable qcv;
-  bool producer_done = false;  // guarded by qmu
-  bool producer_finished_tree = false;
-  std::mutex done_mu;  // with done_cv: the walker waits for a pushed unit
-  std::condition_variable done_cv;
-
-  const auto process_item = [&](WorkItem item) {
-    UnitRecord& rec = *item.record;
-    // Units arrive in canonical order; once a violation beats this unit it
-    // beats every later one too, so skip without exploring (the zeroed
-    // stats slot sits beyond the winner during aggregation anyway). Units
-    // pushed for source-set options carry no index yet: the walker files
-    // their verdicts when it reaches them, and any verdict filed before
-    // then precedes them.
-    if (state.log.best_index() >= item.event_index) {
-      const std::size_t floor = item.prefix.size();
-      rec.stats = explore_subtree(body, std::move(item.prefix), floor, opts,
-                                  state, item.event_index);
-      if (rec.stats.violation && !sources) {
-        state.log.report(item.event_index, *rec.stats.violation,
-                         rec.stats.trace);
-      }
-      if (rec.stats.stuck_message && !sources) {
-        state.stuck_log.report(item.event_index, *rec.stats.stuck_message,
-                               rec.stats.stuck_trace);
-      }
-    }
-    {
-      const std::lock_guard<std::mutex> lk(done_mu);
-      rec.done.store(true, std::memory_order_release);
-    }
-    done_cv.notify_all();
+// The canonical fold: the walker's events in serial-DFS order, each added to
+// one running tally once it and every event before it have settled, up to
+// and including the first violating one — the canonical winner. An event is
+// one attempt (its unit's whole subtree included) or the subtrees `advance`
+// pruned or skipped after it. A unit settles when whoever explores it is
+// done; everything else settles at once, so only events behind an unsettled
+// unit wait, and a walk without workers keeps none. A resumed search starts
+// the fold from its snapshot's watermark. Checkpoints, the final Result,
+// `complete` and `first_stuck` all read the fold.
+struct Fold {
+  struct Event {
+    Tally tally;
+    UnitRecord* unit = nullptr;
+    std::optional<std::string> violation;
+    std::vector<Decision> trace;  ///< kept when it violates or is stuck
   };
 
-  const auto worker_loop = [&]() {
-    WorkItem item;
-    for (;;) {
-      if (!queue.try_pop(item)) {
-        std::unique_lock<std::mutex> lk(qmu);
-        // Re-check under the lock: a push that raced our failed pop is
-        // visible here, and the producer notifies only after taking qmu,
-        // so a wakeup between the re-check and wait() cannot be missed.
-        if (queue.try_pop(item)) {
-          lk.unlock();
-        } else if (producer_done) {
-          return;
-        } else {
-          qcv.wait(lk);
-          continue;
-        }
-      }
-      process_item(std::move(item));
+  std::int64_t step_quota = 0;
+  Tally tally;
+  bool unfinished = false;  ///< a unit stopped short (cancel or budget)
+  std::uint64_t folded = 0;
+  std::uint64_t winner = ViolationLog::kNone;
+  std::optional<std::string> violation;
+  std::vector<Decision> violating_trace;
+  std::optional<StuckExecution> first_stuck;
+  std::vector<Event> waiting;  ///< from `head` on: behind an unsettled unit
+  std::size_t head = 0;
+
+  /// The canonical index the next event takes.
+  std::uint64_t next_index() const noexcept {
+    return folded + (waiting.size() - head);
+  }
+
+  /// Adds the next event; `trace` is its run's decision string.
+  void add(const Tally& t, UnitRecord* unit,
+           std::optional<std::string> v, const std::vector<Decision>& trace) {
+    if (head == waiting.size() && settled(unit)) {
+      fold(t, unit, std::move(v), trace);
+      return;
     }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(threads - 1));
-  for (int w = 0; w < threads - 1; ++w) {
-    pool.emplace_back(worker_loop);
-  }
-
-  // Periodic checkpoint: the watermark is the tally over the longest
-  // contiguous prefix of canonical events whose work has completed (non-unit
-  // events complete at production; a unit when its done flag is set), and
-  // the restart prefix is the first incomplete unit's — or the producer's
-  // next prefix when everything produced so far is done. Work completed
-  // beyond the watermark is deliberately not saved: a resume redoes it, and
-  // the canonical aggregation makes the redone tallies land on the same
-  // final Result.
-  const auto write_parallel_snapshot =
-      [&](const std::vector<Decision>& producer_next) {
-        ExplorerSnapshot s = proto;
-        Tally progress = tally_of(s);
-        const std::vector<Decision>* next = nullptr;
-        std::size_t watermark = events.size();
-        for (std::size_t i = 0; i < events.size(); ++i) {
-          const EventMeta& ev = events[i];
-          if (ev.unit != nullptr) {
-            if (!ev.unit->done.load(std::memory_order_acquire)) {
-              next = &ev.unit->prefix;
-              watermark = i;
-              break;
-            }
-            progress += ev.unit->stats.tally;
-          }
-          progress.add(ev);
-        }
-        store(progress, s);
-        if (!s.stuck_message) {
-          if (const std::optional<ViolationLog::Entry> sw =
-                  state.stuck_log.winner();
-              sw && sw->index < watermark) {
-            s.stuck_message = sw->message;
-            s.stuck_trace = sw->trace;
-          }
-        }
-        s.prefix = next != nullptr ? *next : producer_next;
-        try {
-          save_snapshot(opts.checkpoint_path, s);
-        } catch (const SimError&) {
-          // Periodic snapshot still failing after save_snapshot's retries:
-          // keep exploring (the previous snapshot is intact; the next
-          // period or the final snapshot tries again).
-        }
-      };
-
-  // Producer: serial-DFS frontier enumeration, streaming units out.
-  {
-    BudgetScope budget(state);
-    std::vector<Decision> prefix = std::move(initial_prefix);
-    std::vector<WorkItem> spilled;  // overflow units, re-injected at the end
-    std::ofstream spill_out;        // journal of spilled prefixes
-    std::size_t last_snapshot_events = 0;
-    detail::RaceAnalysis analysis;
-    std::vector<detail::Backtrack> unused;  // the walker owns every decision
-    // Source sets: per trace depth, the list entries already run or pushed
-    // (those past it are new), and the pushed units the walker has not
-    // reached yet, by list position.
-    std::vector<std::uint8_t> handled;
-    std::vector<std::deque<std::pair<std::uint8_t, UnitRecord*>>> pushed;
-    for (const Decision& d : prefix) {
-      handled.push_back(d.listed);  // a resumed list is the walker's to run
+    Event& ev = waiting.emplace_back(Event{t, unit, std::move(v), {}});
+    if (ev.violation || t.stuck > 0) {
+      ev.trace = trace;
     }
-    pushed.resize(prefix.size());
-    UnitRecord* reached = nullptr;  // the pushed unit `prefix` ends at
+    settle();
+  }
 
-    const auto push_unit = [&](WorkItem item) {
-      if (queue.try_push(std::move(item))) {
-        // fall through to the notify below
-      } else if (checkpointing && !sources) {
-        // Graceful degradation under ring pressure: spill the *oldest*
-        // queued prefix to `<checkpoint_path>.spill` (journaled, then
-        // re-injected once enumeration finishes) so the newest unit
-        // takes its slot and enumeration keeps streaming instead of
-        // stalling behind a slow subtree. (The source-set walker waits for
-        // its units in order, so it drains instead.)
-        while (!queue.try_push(std::move(item))) {
-          WorkItem oldest;
-          if (queue.try_pop(oldest)) {
-            if (!spill_out.is_open()) {
-              spill_out.open(opts.checkpoint_path + ".spill",
-                             std::ios::trunc);
-            }
-            spill_out << "{\"kind\":\"spill\",\"event\":"
-                      << oldest.event_index << ",\"prefix\":\""
-                      << encode_decisions(oldest.prefix) << "\"}\n";
-            spill_out.flush();
-            spilled.push_back(std::move(oldest));
-          }
-        }
-      } else {
-        // No spill target: drain one unit here (natural backpressure).
-        // Drop our budget hold first — the drained subtree claims its
-        // own, and a grant held across a blocking drain could starve
-        // parked peers into deadlock.
-        while (!queue.try_push(std::move(item))) {
-          budget.release();
-          WorkItem mine;
-          if (queue.try_pop(mine)) {
-            process_item(std::move(mine));
-          }
-        }
-      }
-      {
-        const std::lock_guard<std::mutex> lk(qmu);
-      }
-      qcv.notify_one();
-    };
-
-    // Waits for a pushed unit, running queued units meanwhile (only the
-    // walker pushes, so an empty ring stays empty while it waits).
-    const auto await = [&](UnitRecord& rec) {
-      budget.release();
-      while (!rec.done.load(std::memory_order_acquire)) {
-        WorkItem mine;
-        if (queue.try_pop(mine)) {
-          process_item(std::move(mine));
-          continue;
-        }
-        std::unique_lock<std::mutex> lk(done_mu);
-        done_cv.wait(lk, [&rec] {
-          return rec.done.load(std::memory_order_acquire);
-        });
-      }
-    };
-
-    // Pushes every list entry past `handled` as a unit of its own.
-    const auto push_new_options = [&](const std::vector<Decision>& trace) {
-      for (std::size_t k = 0; k < trace.size(); ++k) {
-        for (; handled[k] < trace[k].listed; ++handled[k]) {
-          unit_records.emplace_back();
-          UnitRecord& rec = unit_records.back();
-          rec.prefix.assign(trace.begin(),
-                            trace.begin() + static_cast<std::ptrdiff_t>(k));
-          rec.prefix.push_back(listed_option(trace[k], handled[k]));
-          pushed[k].emplace_back(handled[k], &rec);
-          push_unit(WorkItem{ViolationLog::kNone, &rec, rec.prefix});
-        }
-      }
-    };
-
-    for (;;) {
-      if (state.log.best_index() < events.size()) {
-        break;  // a reported violation canonically precedes the next event
-      }
-      if (!budget.ensure()) {
-        break;  // budget finally exhausted mid-frontier
-      }
-      EventMeta ev;
-      std::vector<Decision> trace;
-      std::optional<std::string> violation;
-      if (reached != nullptr) {
-        ev.kind = EventMeta::Kind::kUnit;
-        ev.unit = reached;
-        reached = nullptr;
-        trace = std::move(prefix);
-        await(*ev.unit);
-      } else {
-        const std::size_t fixed = prefix.size();
-        ReplayDriver driver = make_driver(std::move(prefix), opts, state,
-                                          sources ? &analysis : nullptr);
-        driver.set_decision_limit(depth);
-        Attempt run = attempt(body, driver, opts);
-        ev = run.event;
-        violation = std::move(run.violation);
-        if (ev.kind == EventMeta::Kind::kExecution) {
-          budget.consume();
-        }
-        const std::size_t fresh_from = driver.fresh_from();
-        const bool faulted = driver.faulted();
-        trace = driver.take_trace();
-        if (sources) {
-          analysis.run(fresh_from, faulted, trace, 0, unused);
-          handled.resize(trace.size());
-          pushed.resize(trace.size());
-          for (std::size_t k = fixed; k < trace.size(); ++k) {
-            handled[k] = trace[k].listed > 0 ? 1 : 0;
-          }
-        }
-        if (ev.kind == EventMeta::Kind::kUnit) {
-          unit_records.emplace_back();
-          ev.unit = &unit_records.back();
-          ev.unit->prefix = trace;
-          WorkItem item{events.size(), ev.unit, trace};
-          if (sources) {
-            budget.release();
-            process_item(std::move(item));  // the walker needs its demands
-          } else {
-            push_unit(std::move(item));
-          }
-        }
-      }
-      events.push_back(ev);
-      if (violation) {
-        // A violating shallow execution beats everything that would have
-        // followed; report it and stop enumerating.
-        state.log.report(events.size() - 1, *violation, std::move(trace));
-        break;
-      }
-      if (ev.stuck) {
-        // A shallow execution can trip the quota too (quota < frontier
-        // depth's worth of picks).
-        state.stuck_log.report(events.size() - 1,
-                               stuck_message_for(opts.step_quota), trace);
-      }
-      if (sources && ev.unit != nullptr) {
-        const SubtreeStats& st = ev.unit->stats;
-        for (const detail::Backtrack& b : st.above) {
-          detail::apply(trace[b.depth], b);
-        }
-        if (st.stuck_message) {
-          state.stuck_log.report(events.size() - 1, *st.stuck_message,
-                                 st.stuck_trace);
-        }
-        if (st.violation) {
-          state.log.report(events.size() - 1, *st.violation, st.trace);
-          break;
-        }
-      }
-      if (sources) {
-        push_new_options(trace);
-      }
-      std::int64_t advance_prunes = 0;
-      std::int64_t advance_reduced = 0;
-      const bool more =
-          advance(trace, 0, opts.prune, advance_prunes, advance_reduced);
-      // Subtrees pruned or reduction-skipped while advancing sit between
-      // this event and the next in canonical order (in particular *after* a
-      // unit's whole subtree); record them separately so truncated tallies
-      // stay exact.
-      for (std::int64_t i = 0; i < advance_prunes; ++i) {
-        events.push_back(EventMeta{EventMeta::Kind::kPruned, 0});
-      }
-      if (advance_reduced != 0) {
-        events.push_back(
-            EventMeta{EventMeta::Kind::kSkip, advance_reduced});
-      }
-      if (opts.observer != nullptr && ev.reduced + advance_reduced != 0) {
-        opts.observer->on_reduced(ev.reduced + advance_reduced);
-      }
-      if (!more) {
-        producer_finished_tree = true;
-        break;
-      }
-      if (sources) {
-        handled.resize(trace.size());
-        pushed.resize(trace.size());
-        const Decision& d = trace.back();
-        std::deque<std::pair<std::uint8_t, UnitRecord*>>& q = pushed.back();
-        if (d.listed > 0 && !q.empty() &&
-            d.list[q.front().first] == d.chosen) {
-          reached = q.front().second;
-          q.pop_front();
-        }
-      }
-      if (checkpointing &&
-          events.size() - last_snapshot_events >=
-              static_cast<std::size_t>(opts.checkpoint_every)) {
-        last_snapshot_events = events.size();
-        write_parallel_snapshot(trace);
-      }
-      prefix = std::move(trace);
+  /// Folds the waiting events whose units have settled, in order.
+  void settle() {
+    for (; head < waiting.size() && settled(waiting[head].unit); ++head) {
+      Event& ev = waiting[head];
+      fold(ev.tally, ev.unit, std::move(ev.violation), ev.trace);
     }
-
-    // Re-inject spilled units, oldest first: the ring only drains from here
-    // on, so this terminates; inline drains keep the producer useful while
-    // it waits for slots.
-    for (WorkItem& it : spilled) {
-      while (!queue.try_push(std::move(it))) {
-        budget.release();
-        WorkItem mine;
-        if (queue.try_pop(mine)) {
-          process_item(std::move(mine));
-        }
-      }
-      {
-        const std::lock_guard<std::mutex> lk(qmu);
-      }
-      qcv.notify_one();
+    if (head == waiting.size()) {
+      waiting.clear();
+      head = 0;
     }
-  }  // producer's budget hold refunded here
-
-  {
-    const std::lock_guard<std::mutex> lk(qmu);
-    producer_done = true;
-  }
-  qcv.notify_all();
-  worker_loop();  // help drain whatever is still queued
-  for (std::thread& t : pool) {
-    t.join();
   }
 
-  // Canonical aggregation: walk the emission sequence in order, stopping at
-  // the winning violation. Units after the winner are excluded even if they
-  // ran (the serial DFS would never have entered them), so `executions` and
-  // `pruned_subtrees` are bit-identical to the serial explorer's regardless
-  // of thread timing.
-  Explorer::Result result;
-  const std::optional<ViolationLog::Entry> win = state.log.winner();
-  const std::uint64_t winner_index = win ? win->index : ViolationLog::kNone;
-  bool all_finished = producer_finished_tree;
-  Tally total;
-  for (std::size_t i = 0; i < events.size() && i <= winner_index; ++i) {
-    if (const UnitRecord* unit = events[i].unit; unit != nullptr) {
-      total += unit->stats.tally;
-      all_finished = all_finished && unit->stats.finished;
+  static bool settled(const UnitRecord* unit) noexcept {
+    return unit == nullptr || unit->done.load(std::memory_order_acquire);
+  }
+
+  void fold(const Tally& t, const UnitRecord* unit,
+            std::optional<std::string> v, const std::vector<Decision>& trace) {
+    const std::uint64_t index = folded++;
+    if (violation) {
+      return;  // nothing after the winner counts
     }
-    total.add(events[i]);
+    tally += t;
+    if (t.stuck > 0 && !first_stuck) {
+      first_stuck = StuckExecution{stuck_message_for(step_quota), trace};
+    }
+    if (unit != nullptr) {
+      // DFS order puts a unit's first stuck run before its violation.
+      const SubtreeStats& st = unit->stats;
+      tally += st.tally;
+      unfinished = unfinished || !st.finished;
+      if (st.stuck_message && !first_stuck) {
+        first_stuck = StuckExecution{*st.stuck_message, st.stuck_trace};
+      }
+      v = st.violation;
+    }
+    if (v) {
+      winner = index;
+      violation = std::move(v);
+      violating_trace = unit != nullptr ? unit->stats.trace : trace;
+    }
   }
-  store(total, result);
-  if (state.visited != nullptr) {
-    result.stateful_states =
-        static_cast<std::int64_t>(state.visited->size());
-  }
-  if (win) {
-    result.violation = win->message;
-    result.violating_trace = win->trace;
-  } else {
-    // Exhaustion manifests as an unfinished unit or an unfinished frontier,
-    // so `complete` needs no separate exhaustion flag (and cannot be
-    // spuriously false when the budget exactly equals the tree size).
-    result.complete = all_finished;
-  }
-  // The canonically first stuck execution — reported only when the serial
-  // DFS would have reached it before stopping (its index at or before the
-  // winner's; within one unit, DFS order puts the unit's stuck before its
-  // violation).
-  if (const std::optional<ViolationLog::Entry> sw = state.stuck_log.winner();
-      sw && sw->index <= winner_index) {
-    result.first_stuck = StuckExecution{sw->message, sw->trace};
-  }
-  return result;
-}
+};
 
 Explorer::Result result_from_snapshot(const ExplorerSnapshot& s) {
   Explorer::Result r;
@@ -1057,7 +613,7 @@ Explorer::Result result_from_snapshot(const ExplorerSnapshot& s) {
 
 ExplorerSnapshot snapshot_of_result(const Explorer::Options& opts,
                                     const Explorer::Result& r) {
-  ExplorerSnapshot s = snapshot_proto(opts, nullptr);
+  ExplorerSnapshot s = snapshot_proto(opts);
   store(tally_of(r), s);
   s.done = true;
   s.complete = r.complete;
@@ -1114,59 +670,359 @@ void validate_options(const Explorer::Options& opts) {
                    "got " +
                    std::to_string(opts.checkpoint_every));
   }
-  if (opts.frontier_queue_capacity == 0) {
-    throw SimError(
-        "Explorer::Options::frontier_queue_capacity must be non-zero");
-  }
 }
 
-// The shared implementation behind explore() and resume(): runs the search
-// over the part of the tree at and after `initial_prefix`, with `base`
-// carrying a resumed snapshot's watermark (tallies folded into the final
-// Result, stuck winner taking canonical precedence).
+// The one search behind explore() and resume(): a walker enumerates the tree
+// in serial DFS order on the calling thread, from `prefix` on (a resumed
+// snapshot's restart point, with `base` carrying its watermark), and folds
+// its events. With `threads - 1` workers it cuts its runs at the frontier
+// depth and streams each cut prefix as a work unit through a bounded ring to
+// them, running the oldest queued unit itself when the ring is full. With
+// no workers (`threads = 1`) it sets no decision limit: every run is a
+// whole execution, and the walk is a plain restart-DFS. Either way the fold
+// gives every tally the serial value, whatever the thread timing.
+//
+// Under source sets with workers the walker never runs ahead of the
+// backtrack lists: it runs each of its own frontier units inline, and
+// applies a unit's demands on the decisions above its root (its `above`
+// list) before advancing, so those lists grow in serial DFS order. An option
+// such a demand adds is pushed as a unit at once — its subtree and sleep
+// set depend only on the options listed before it — and the walker, on
+// reaching it in DFS order, waits for it (running queued units meanwhile)
+// and applies its demands in turn. Without workers it enters every listed
+// option through `advance` instead.
 Explorer::Result explore_impl(const ExecutionBody& body,
                               const Explorer::Options& opts,
-                              std::vector<Decision> initial_prefix,
+                              std::vector<Decision> prefix,
                               const ExplorerSnapshot* base) {
   const int threads = Explorer::resolve_threads(opts.threads);
-  const ExplorerSnapshot proto = snapshot_proto(opts, base);
-  const std::int64_t budget = opts.max_executions - proto.executions;
-  Explorer::Result result;
-  if (threads <= 1) {
-    SearchState state;
-    state.max_executions = budget;
-    if (opts.stateful) {
-      state.visited =
-          std::make_unique<detail::VisitedSet>(
-            static_cast<std::size_t>(opts.stateful_capacity));
+  const ExplorerSnapshot proto = snapshot_proto(opts);
+  Fold fold{opts.step_quota};
+  if (base != nullptr) {
+    fold.tally = tally_of(*base);
+    if (base->stuck_message) {
+      fold.first_stuck =
+          StuckExecution{*base->stuck_message, base->stuck_trace};
     }
-    SerialCheckpoint cp{&opts.checkpoint_path, opts.checkpoint_every, &proto,
-                        0};
-    SerialCheckpoint* sink = opts.checkpoint_path.empty() ? nullptr : &cp;
-    SubtreeStats stats = explore_subtree(body, std::move(initial_prefix),
-                                         /*floor=*/0, opts, state,
-                                         /*my_index=*/0, sink);
-    result = finish_serial(std::move(stats));
-    if (state.visited != nullptr) {
-      result.stateful_states =
-          static_cast<std::int64_t>(state.visited->size());
-    }
-  } else {
-    result = explore_parallel(body, opts, threads, std::move(initial_prefix),
-                              proto, budget);
   }
-  // Fold the resumed-from watermark back in. The base's stuck winner, when
-  // present, canonically precedes anything found after the watermark.
-  store(tally_of(result) + tally_of(proto), result);
-  if (proto.stuck_message) {
-    result.first_stuck =
-        StuckExecution{*proto.stuck_message, proto.stuck_trace};
+  SearchState state;
+  state.max_executions = opts.max_executions - fold.tally.executions;
+  if (opts.stateful) {
+    state.visited = std::make_unique<detail::VisitedSet>(
+        static_cast<std::size_t>(opts.stateful_capacity));
+  }
+  // No workers, no frontier: every run of a lone walker is an execution.
+  std::size_t depth = SIZE_MAX;
+  if (threads > 1) {
+    depth = opts.frontier_depth > 0
+                ? static_cast<std::size_t>(opts.frontier_depth)
+                : auto_frontier_depth(threads);
+  }
+  const bool checkpointing = !opts.checkpoint_path.empty();
+  const bool sources = source_sets(opts);
+  const bool share = sources && threads > 1;  // push listed options as units
+
+  std::deque<UnitRecord> unit_records;  // deque: grows with stable addresses
+  std::optional<BoundedQueue<WorkItem>> ring;
+  if (threads > 1) {
+    ring.emplace(kRingCapacity);
+  }
+  std::mutex qmu;
+  std::condition_variable qcv;
+  bool walker_done = false;  // guarded by qmu
+  std::mutex done_mu;  // with done_cv: the walker waits for a pushed unit
+  std::condition_variable done_cv;
+
+  const auto process_item = [&](const WorkItem& item) {
+    UnitRecord& rec = *item.record;
+    // Units arrive in canonical order; once a violation beats this unit it
+    // beats every later one too, so skip without exploring (the fold stops
+    // before it anyway). Units pushed for source-set options carry no index
+    // yet: the walker folds their verdicts when it reaches them, and any
+    // verdict reported before then precedes them.
+    if (state.log.best_index() >= item.event_index) {
+      rec.stats = explore_subtree(body, rec.prefix, rec.prefix.size(), opts,
+                                  state, item.event_index);
+      if (rec.stats.violation && !sources) {
+        state.log.report(item.event_index, *rec.stats.violation,
+                         rec.stats.trace);
+      }
+    }
+    {
+      const std::lock_guard<std::mutex> lk(done_mu);
+      rec.done.store(true, std::memory_order_release);
+    }
+    done_cv.notify_all();
+  };
+
+  const auto worker_loop = [&]() {
+    WorkItem item;
+    for (;;) {
+      if (!ring->try_pop(item)) {
+        std::unique_lock<std::mutex> lk(qmu);
+        // Re-check under the lock: a push that raced our failed pop is
+        // visible here, and the walker notifies only after taking qmu, so
+        // a wakeup between the re-check and wait() cannot be missed.
+        if (ring->try_pop(item)) {
+          lk.unlock();
+        } else if (walker_done) {
+          return;
+        } else {
+          qcv.wait(lk);
+          continue;
+        }
+      }
+      process_item(item);
+    }
+  };
+
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<std::size_t>(threads - 1));
+  for (int w = 0; w < threads - 1; ++w) {
+    pool.emplace_back(worker_loop);
+  }
+
+  // Periodic checkpoint: the watermark is the fold, and the restart prefix
+  // the first unsettled unit's — or the walker's next prefix when nothing
+  // waits. A resume replays that unit's prefix without counting its
+  // decisions again, so what the attempt that cut the unit counted (the
+  // options it skipped on the way down) lies below the watermark too. Work
+  // completed beyond the watermark is deliberately not saved: a resume
+  // redoes it, and the fold makes the redone tallies land on the same final
+  // Result.
+  const auto checkpoint = [&](const std::vector<Decision>& next) {
+    ExplorerSnapshot s = proto;
+    Tally below = fold.tally;
+    const std::vector<Decision>* restart = &next;
+    if (fold.head < fold.waiting.size()) {
+      below += fold.waiting[fold.head].tally;
+      restart = &fold.waiting[fold.head].unit->prefix;
+    }
+    store(below, s);
+    s.prefix = *restart;
+    if (fold.first_stuck) {
+      s.stuck_message = fold.first_stuck->message;
+      s.stuck_trace = fold.first_stuck->trace;
+    }
+    try {
+      save_snapshot(opts.checkpoint_path, s);
+    } catch (const SimError&) {
+      // A periodic snapshot that still fails after save_snapshot's own
+      // retries must not kill the campaign: the search continues and the
+      // next period (or the final snapshot) tries again. The previous
+      // snapshot stays intact (atomic rename), so resume keeps working —
+      // it just redoes more of the tree.
+    }
+  };
+
+  bool finished = false;  // the walker exhausted the tree
+  {
+    BudgetScope budget(state);
+    std::uint64_t last_snapshot = 0;
+    detail::RaceAnalysis analysis;
+    std::vector<detail::Backtrack> unused;  // the walker owns every decision
+    // Source sets with workers: per trace depth, the list entries already
+    // run or pushed (those past it are new), and the pushed units the
+    // walker has not reached yet, by list position.
+    std::vector<std::uint8_t> handled;
+    std::vector<std::deque<std::pair<std::uint8_t, UnitRecord*>>> pushed;
+    if (share) {
+      for (const Decision& d : prefix) {
+        handled.push_back(d.listed);  // a resumed list is the walker's to run
+      }
+      pushed.resize(prefix.size());
+    }
+    UnitRecord* reached = nullptr;  // the pushed unit `prefix` ends at
+
+    // Streams a unit to the workers. A full ring makes the walker run the
+    // oldest queued unit itself (backpressure); it drops its budget hold
+    // first — the drained subtree claims its own, and a grant held across
+    // a blocking drain could starve parked peers into deadlock.
+    const auto push_unit = [&](const WorkItem& item) {
+      while (!ring->try_push(WorkItem{item})) {
+        budget.release();
+        WorkItem mine;
+        if (ring->try_pop(mine)) {
+          process_item(mine);
+        }
+      }
+      {
+        const std::lock_guard<std::mutex> lk(qmu);
+      }
+      qcv.notify_one();
+    };
+
+    // Waits for a pushed unit, running queued units meanwhile (only the
+    // walker pushes, so an empty ring stays empty while it waits).
+    const auto await = [&](UnitRecord& rec) {
+      budget.release();
+      while (!rec.done.load(std::memory_order_acquire)) {
+        WorkItem mine;
+        if (ring->try_pop(mine)) {
+          process_item(mine);
+          continue;
+        }
+        std::unique_lock<std::mutex> lk(done_mu);
+        done_cv.wait(lk, [&rec] {
+          return rec.done.load(std::memory_order_acquire);
+        });
+      }
+    };
+
+    // Pushes every list entry past `handled` as a unit of its own.
+    const auto push_new_options = [&](const std::vector<Decision>& trace) {
+      for (std::size_t k = 0; k < trace.size(); ++k) {
+        for (; handled[k] < trace[k].listed; ++handled[k]) {
+          UnitRecord& rec = unit_records.emplace_back();
+          rec.prefix.assign(trace.begin(),
+                            trace.begin() + static_cast<std::ptrdiff_t>(k));
+          rec.prefix.push_back(listed_option(trace[k], handled[k]));
+          pushed[k].emplace_back(handled[k], &rec);
+          push_unit(WorkItem{ViolationLog::kNone, &rec});
+        }
+      }
+    };
+
+    // Branches marked [[unlikely]] run only with workers: the marks keep
+    // them out of the lone walker's path, which every serial search runs.
+    for (;;) {
+      if (fold.violation || state.log.best_index() < fold.next_index()) {
+        break;  // a violation canonically precedes the next event
+      }
+      if (!budget.ensure()) {
+        break;  // budget finally exhausted
+      }
+      Tally own;  // this event's count: a unit's subtree comes with the unit
+      std::optional<std::string> violation;
+      std::vector<Decision> trace;
+      UnitRecord* unit = std::exchange(reached, nullptr);
+      if (unit != nullptr) [[unlikely]] {
+        trace = std::move(prefix);
+        await(*unit);
+      } else {
+        const std::size_t fixed = prefix.size();
+        ReplayDriver driver = make_driver(std::move(prefix), opts, state,
+                                          sources ? &analysis : nullptr);
+        driver.set_decision_limit(depth);
+        violation = attempt(body, driver, opts, own);
+        if (driver.cut() == ReplayDriver::Cut::kNone) {
+          budget.consume();
+        }
+        const std::size_t fresh_from = driver.fresh_from();
+        const bool faulted = driver.faulted();
+        trace = driver.take_trace();
+        if (sources) {
+          analysis.run(fresh_from, faulted, trace, 0, unused);
+        }
+        if (share) [[unlikely]] {
+          handled.resize(trace.size());
+          pushed.resize(trace.size());
+          for (std::size_t k = fixed; k < trace.size(); ++k) {
+            handled[k] = trace[k].listed > 0 ? 1 : 0;
+          }
+        }
+        if (driver.cut() == ReplayDriver::Cut::kFrontier) [[unlikely]] {
+          unit = &unit_records.emplace_back();
+          unit->prefix = trace;
+          const WorkItem item{fold.next_index(), unit};
+          if (sources) {
+            budget.release();
+            process_item(item);  // the walker needs its demands
+          } else {
+            push_unit(item);
+          }
+        }
+      }
+      // A violating run ends the walk even when its event still waits
+      // behind an unsettled unit: nothing after it can win.
+      const bool violated = violation.has_value();
+      fold.add(own, unit, std::move(violation), trace);
+      if (violated || fold.violation) {
+        break;
+      }
+      if (sources && unit != nullptr) [[unlikely]] {
+        for (const detail::Backtrack& b : unit->stats.above) {
+          detail::apply(trace[b.depth], b);
+        }
+      }
+      if (share) [[unlikely]] {
+        push_new_options(trace);
+      }
+      // Subtrees pruned or reduction-skipped while advancing sit between
+      // this event and the next in canonical order (in particular after a
+      // unit's whole subtree): they are an event of their own, so truncated
+      // tallies stay exact.
+      Tally skipped;
+      const bool more =
+          advance(trace, 0, opts.prune, skipped.pruned, skipped.reduced);
+      if (skipped.pruned != 0 || skipped.reduced != 0) {
+        fold.add(skipped, nullptr, std::nullopt, trace);
+      }
+      if (opts.observer != nullptr && own.reduced + skipped.reduced != 0) {
+        opts.observer->on_reduced(own.reduced + skipped.reduced);
+      }
+      if (!more) {
+        finished = true;
+        break;
+      }
+      if (share) [[unlikely]] {
+        handled.resize(trace.size());
+        pushed.resize(trace.size());
+        const Decision& d = trace.back();
+        std::deque<std::pair<std::uint8_t, UnitRecord*>>& q = pushed.back();
+        if (d.listed > 0 && !q.empty() &&
+            d.list[q.front().first] == d.chosen) {
+          reached = q.front().second;
+          q.pop_front();
+        }
+      }
+      if (checkpointing && !fold.violation &&
+          fold.next_index() - last_snapshot >=
+              static_cast<std::uint64_t>(opts.checkpoint_every)) {
+        last_snapshot = fold.next_index();
+        checkpoint(trace);
+      }
+      prefix = std::move(trace);
+    }
+  }  // the walker's budget hold refunded here
+
+  if (fold.violation) {
+    // Units pushed ahead of the walker cannot win: cancel them.
+    state.log.report(fold.winner, *fold.violation, fold.violating_trace);
+  }
+  {
+    const std::lock_guard<std::mutex> lk(qmu);
+    walker_done = true;
+  }
+  qcv.notify_all();
+  if (ring) {
+    worker_loop();  // help drain whatever is still queued
+  }
+  for (std::thread& t : pool) {
+    t.join();
+  }
+  fold.settle();
+
+  Explorer::Result result;
+  store(fold.tally, result);
+  if (state.visited != nullptr) {
+    result.stateful_states = static_cast<std::int64_t>(state.visited->size());
+  }
+  result.first_stuck = std::move(fold.first_stuck);
+  if (fold.violation) {
+    result.violation = std::move(fold.violation);
+    result.violating_trace = std::move(fold.violating_trace);
+  } else {
+    // Exhaustion shows as an unfinished unit or an unfinished walk, so
+    // `complete` needs no separate exhaustion flag (and cannot be
+    // spuriously false when the budget exactly equals the tree size).
+    result.complete = finished && !fold.unfinished;
   }
   if (opts.shrink_violations && result.violation) {
     result.violating_trace =
         Explorer::shrink(body, std::move(result.violating_trace));
   }
-  if (!opts.checkpoint_path.empty()) {
+  if (checkpointing) {
     save_snapshot(opts.checkpoint_path, snapshot_of_result(opts, result));
   }
   return result;
@@ -1327,54 +1183,43 @@ RandomSweep::Result RandomSweep::run(const ExecutionBody& body,
   }
   const int workers = std::min<std::int64_t>(
       Explorer::resolve_threads(threads), runs);
-  if (workers <= 1) {
-    for (std::int64_t i = 0; i < runs; ++i) {
-      const std::uint64_t seed = first_seed + static_cast<std::uint64_t>(i);
-      RandomDriver driver(seed);
-      ++result.runs;
-      if (std::optional<std::string> violation =
-              run_one(body, driver, observer)) {
-        result.failing_seed = seed;
-        result.violation = std::move(violation);
-        return result;
-      }
-    }
-    return result;
-  }
 
-  // Parallel sweep: workers claim fixed-size blocks of the seed range in
-  // ascending order; failures are aggregated by seed index, so the reported
-  // failure is the least failing seed — exactly what the serial sweep
-  // returns — and blocks past the current best are never started.
+  // Workers claim fixed-size blocks of the seed range in ascending order;
+  // failures are aggregated by seed index, so the reported failure is the
+  // least failing seed — what a serial sweep hits first — and blocks past
+  // the current best are never started. The calling thread is one of the
+  // workers; a lone worker sweeps on it alone.
   constexpr std::int64_t kBlock = 64;
   ViolationLog log;
   std::atomic<std::int64_t> next_block{0};
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    pool.emplace_back([&]() {
-      for (;;) {
-        const std::int64_t start =
-            next_block.fetch_add(1, std::memory_order_relaxed) * kBlock;
-        if (start >= runs ||
-            log.best_index() < static_cast<std::uint64_t>(start)) {
-          return;
+  const auto sweep = [&]() {
+    for (;;) {
+      const std::int64_t start =
+          next_block.fetch_add(1, std::memory_order_relaxed) * kBlock;
+      if (start >= runs ||
+          log.best_index() < static_cast<std::uint64_t>(start)) {
+        return;
+      }
+      const std::int64_t end = std::min(start + kBlock, runs);
+      for (std::int64_t i = start; i < end; ++i) {
+        if (log.best_index() < static_cast<std::uint64_t>(i)) {
+          break;
         }
-        const std::int64_t end = std::min(start + kBlock, runs);
-        for (std::int64_t i = start; i < end; ++i) {
-          if (log.best_index() < static_cast<std::uint64_t>(i)) {
-            break;
-          }
-          RandomDriver driver(first_seed + static_cast<std::uint64_t>(i));
-          if (std::optional<std::string> violation =
-                  run_one(body, driver, observer)) {
-            log.report(static_cast<std::uint64_t>(i), *violation, {});
-            break;  // later seeds in this block cannot beat index i
-          }
+        RandomDriver driver(first_seed + static_cast<std::uint64_t>(i));
+        if (std::optional<std::string> violation =
+                run_one(body, driver, observer)) {
+          log.report(static_cast<std::uint64_t>(i), *violation, {});
+          break;  // later seeds in this block cannot beat index i
         }
       }
-    });
+    }
+  };
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<std::size_t>(workers - 1));
+  for (int w = 1; w < workers; ++w) {
+    pool.emplace_back(sweep);
   }
+  sweep();
   for (std::thread& t : pool) {
     t.join();
   }

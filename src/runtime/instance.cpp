@@ -166,16 +166,21 @@ Value InstanceTable::apply(InstanceBlock& block, int pid, int slot, Value v,
   InstanceOpContext ctx(&block, choice_seed, pid);
   std::size_t handle = 0;
   Value out = kBottom;
+  // Each case runs its core's own parameter check before the history
+  // records the invocation, so a refused op leaves no pending entry.
   switch (block.kind) {
     case InstanceKind::kOneShotWrn:
+      wrn_check_params(block.wrn.k, slot, v);
       handle = block.history.invoke(pid, {static_cast<Value>(slot), v});
       out = one_shot_wrn_commit(ctx, block.oid, &block.wrn, slot, v);
       break;
     case InstanceKind::kGac:
+      gac_check_proposal(v);
       handle = block.history.invoke(pid, {v});
       out = gac_propose(ctx, block.oid, &block.gac, v);
       break;
     case InstanceKind::kSetConsensus:
+      set_consensus_check_proposal(v);
       handle = block.history.invoke(pid, {v});
       out = set_consensus_propose(ctx, &block.setc, v);
       // The set-consensus core makes no fingerprint reports (its worlds

@@ -491,10 +491,18 @@ void ShardedService::worker_main(int shard) {
         return;
       }
       bool hung = false;
-      const Value out = table.apply(
-          *block, op.validator, op.slot, op.value,
-          detail::mix64(op.id ^ static_cast<std::uint64_t>(op.validator)),
-          &hung);
+      Value out = kBottom;
+      try {
+        out = table.apply(
+            *block, op.validator, op.slot, op.value,
+            detail::mix64(op.id ^ static_cast<std::uint64_t>(op.validator)),
+            &hung);
+      } catch (const SimError&) {
+        // The core refused the op's parameters (a 1sWRN slot outside
+        // [0, k), a ⊥ value): only this worker knows the instance's shape,
+        // so it counts the op as one the core refused and keeps serving.
+        hung = true;
+      }
       ++st.ops;
       if (hung) {
         ++st.hung_ops;

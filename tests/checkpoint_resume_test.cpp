@@ -1,18 +1,22 @@
 // Campaign hardening: checkpoint/resume of the exhaustive explorer
-// (checking/checkpoint.hpp) and graceful degradation of the parallel
-// frontier ring (spill-to-disk). The load-bearing claim: killing a campaign
-// at an arbitrary periodic snapshot and resuming produces the bit-identical
-// final Result an uninterrupted run reports, at any thread count.
+// (checking/checkpoint.hpp) and backpressure on the parallel frontier ring.
+// The load-bearing claim: killing a campaign at an arbitrary periodic
+// snapshot and resuming produces the bit-identical final Result an
+// uninterrupted run reports, at any thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "subc/checking/checkpoint.hpp"
 #include "subc/objects/register.hpp"
@@ -169,7 +173,6 @@ void run_kill_and_resume(const ExecutionBody& body, Explorer::Options opts,
 
     remove_file(cp);
     remove_file(keep);
-    remove_file(cp + ".spill");
   }
 }
 
@@ -217,6 +220,81 @@ TEST(CheckpointResume, RecoveryExplorationCampaignResumes) {
   run_kill_and_resume(clean_body(), opts, "recovery_serial");
   opts.threads = 4;
   run_kill_and_resume(clean_body(), opts, "recovery_par");
+}
+
+TEST(CheckpointResume, ParallelWatermarkKeepsTheUnitCutsReductions) {
+  // A full-branching sleep-set search (a prune hook that prunes nothing
+  // turns source sets off) at 4 threads, snapshotting after every event.
+  // Units below a first decision other than 0 run slowly on the workers, so
+  // snapshots stop at a unit still running whose cutting attempt skipped
+  // asleep options on its way down. A resume replays that unit's prefix
+  // without counting those skips again: every snapshot must still resume to
+  // the uninterrupted Result, at 1 and at 4 threads.
+  const auto caller = std::this_thread::get_id();
+  const ExecutionBody body = [caller](ScheduleDriver& driver) {
+    Runtime rt;
+    RegisterArray<> regs(4, kBottom);
+    for (int p = 0; p < 4; ++p) {
+      rt.add_process([&, p](Context& ctx) {
+        regs[p].write(ctx, p);
+        regs[(p + 1) % 4].read(ctx);
+      });
+    }
+    if (rt.run(driver).cut || std::this_thread::get_id() == caller) {
+      return;
+    }
+    const auto& trace = dynamic_cast<const ReplayDriver&>(driver).trace();
+    if (trace.front().chosen != 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  };
+  Explorer::Options opts;
+  opts.prune = [](std::span<const ReplayDriver::Decision>) { return false; };
+  opts.threads = 4;
+  opts.frontier_depth = 3;
+  const auto uninterrupted = Explorer::explore(body, opts);
+  ASSERT_TRUE(uninterrupted.complete);
+  EXPECT_GT(uninterrupted.reduced_subtrees, 0);
+
+  // Every distinct snapshot on disk when a run begins.
+  struct Snapshots final : TraceObserver {
+    std::string path;
+    std::mutex mu;
+    std::vector<std::string> seen;
+    void on_run_begin(int /*num_processes*/) override {
+      std::string s = read_file(path);
+      const std::lock_guard<std::mutex> lk(mu);
+      if (!s.empty() && std::find(seen.begin(), seen.end(), s) == seen.end()) {
+        seen.push_back(std::move(s));
+      }
+    }
+  };
+  const std::string cp = temp_path("subc_ckpt_watermark.jsonl");
+  remove_file(cp);
+  Snapshots snapshots;
+  snapshots.path = cp;
+  Explorer::Options checkpointed = opts;
+  checkpointed.checkpoint_path = cp;
+  checkpointed.checkpoint_every = 1;
+  checkpointed.observer = &snapshots;
+  Explorer::explore(body, checkpointed);
+  ASSERT_FALSE(snapshots.seen.empty());
+
+  for (std::size_t i = 0; i < snapshots.seen.size(); ++i) {
+    for (const int threads : {1, 4}) {
+      {
+        std::ofstream out(cp, std::ios::trunc);
+        out << snapshots.seen[i];
+      }
+      Explorer::Options resumed = opts;
+      resumed.checkpoint_path = cp;
+      resumed.threads = threads;
+      expect_same_result(Explorer::resume(body, cp, resumed), uninterrupted,
+                         "snapshot " + std::to_string(i) + " at " +
+                             std::to_string(threads) + " threads");
+    }
+  }
+  remove_file(cp);
 }
 
 TEST(CheckpointResume, FinishedSnapshotResumesWithoutRerunning) {
@@ -370,26 +448,66 @@ TEST(CheckpointResume, SnapshotFilesSurviveLoadSaveRoundTrip) {
   remove_file(cp);
 }
 
+TEST(CheckpointResume, CheckpointedSerialSearchBuildsOneWorldPerExecution) {
+  // At threads = 1 the walker has no workers and no frontier: a checkpointed
+  // default search of the mixed world (source sets) builds one world per
+  // execution, with no world cut at a frontier.
+  const ExecutionBody body = [](ScheduleDriver& driver) {
+    Runtime rt;
+    Register<> shared(0);
+    RegisterArray<> own(3, 0);
+    for (int p = 0; p < 3; ++p) {
+      rt.add_process([&, p](Context& ctx) {
+        for (int s = 0; s < 4; ++s) {
+          if (s % 2 == 0) {
+            own[p].write(ctx, s);
+          } else {
+            shared.write(ctx, p);
+          }
+        }
+      });
+    }
+    rt.run(driver);
+  };
+  const std::string cp = temp_path("subc_ckpt_one_world.jsonl");
+  remove_file(cp);
+  ProgressTicker ticker(/*period_seconds=*/1e9, nullptr);
+  Explorer::Options opts;
+  opts.checkpoint_path = cp;
+  opts.checkpoint_every = 16;
+  opts.observer = &ticker;
+  const auto result = Explorer::explore(body, opts);
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result.complete);
+  EXPECT_GT(result.executions, 1);
+  const auto snap = ticker.snapshot();
+  EXPECT_EQ(snap.executions, result.executions);
+  EXPECT_EQ(snap.runs, result.executions);
+  remove_file(cp);
+}
+
 // ---------------------------------------------------------------------------
-// Graceful degradation: a tiny frontier ring under a fast producer spills
-// the oldest prefixes to `<checkpoint>.spill` instead of stalling, and the
-// final Result is still bit-identical.
+// Ring pressure: more frontier units than the ring's 256 slots make the
+// walker run queued units itself, and the final Result stays bit-identical.
 // ---------------------------------------------------------------------------
 
-TEST(CheckpointResume, FrontierRingPressureSpillsAndStaysExact) {
-  // The gate makes ring pressure deterministic instead of a race: in the
-  // tight run, every completed execution spin-waits (AFTER its last
-  // decision, so traces and results are unaffected) until the spill
-  // journal exists. The lone worker therefore sits in its first subtree
-  // while the producer streams the remaining depth-2 prefixes into a
-  // 2-slot ring — the overflow, and hence the journal, is guaranteed, and
-  // the producer's spill path never blocks, so neither side can deadlock.
-  // Producer enumeration attempts are cut at the frontier, and a cut run
-  // returns before the gate.
-  const auto gated_body = [](std::shared_ptr<std::atomic<bool>> spill_seen,
-                             std::string spill_path) -> ExecutionBody {
-    return [spill_seen = std::move(spill_seen),
-            spill_path = std::move(spill_path)](ScheduleDriver& driver) {
+TEST(CheckpointResume, FullFrontierRingDrainsInlineAndStaysExact) {
+  // 3 processes x 3 writes under kNone: 1680 executions, and 450 frontier
+  // units at depth 6. The lone worker's executions wait until the calling
+  // thread has run an execution below the frontier, i.e. one of a unit: the
+  // worker sits in its first unit, the ring fills, and only an inline drain
+  // lets the search go on. The walker's own runs that end above the
+  // frontier record at most 6 decisions; a unit's record more. Under kNone
+  // the only cuts are the walker's frontier cuts, so counting them dates
+  // the first inline unit within the walk.
+  constexpr std::size_t kDepth = 6;
+  struct Gate {
+    std::thread::id caller = std::this_thread::get_id();
+    std::atomic<std::int64_t> frontier_cuts{0};
+    std::atomic<std::int64_t> cuts_at_drain{-1};  ///< at the first inline unit
+  };
+  const auto gated_body = [](Gate* gate) -> ExecutionBody {
+    return [gate](ScheduleDriver& driver) {
       Runtime rt;
       RegisterArray<> regs(3, kBottom);
       for (int p = 0; p < 3; ++p) {
@@ -400,45 +518,46 @@ TEST(CheckpointResume, FrontierRingPressureSpillsAndStaysExact) {
         });
       }
       if (rt.run(driver).cut) {
-        return;
-      }
-      if (spill_path.empty() || spill_seen->load(std::memory_order_relaxed)) {
-        return;
-      }
-      // Bounded wait (~30 s) so a spill regression fails the asserts below
-      // instead of tripping the ctest timeout.
-      for (int spin = 0; spin < 600'000; ++spin) {
-        if (file_exists(spill_path)) {
-          spill_seen->store(true, std::memory_order_relaxed);
-          return;
+        if (gate != nullptr) {
+          gate->frontier_cuts.fetch_add(1);
         }
+        return;
+      }
+      if (gate == nullptr) {
+        return;
+      }
+      if (std::this_thread::get_id() == gate->caller) {
+        std::int64_t none = -1;
+        if (dynamic_cast<const ReplayDriver&>(driver).trace().size() > kDepth) {
+          gate->cuts_at_drain.compare_exchange_strong(
+              none, gate->frontier_cuts.load());
+        }
+        return;
+      }
+      // Bounded wait (~30 s) so a regression fails the asserts below
+      // instead of tripping the ctest timeout.
+      for (int spin = 0; spin < 600'000 && gate->cuts_at_drain.load() < 0;
+           ++spin) {
         std::this_thread::sleep_for(std::chrono::microseconds(50));
       }
     };
   };
   Explorer::Options reference;
-  reference.reduction = Reduction::kNone;  // 9!/(3!3!3!) = 1680 executions
-  const auto serial =
-      Explorer::explore(gated_body(std::make_shared<std::atomic<bool>>(), ""),
-                        reference);
+  reference.reduction = Reduction::kNone;
+  const auto serial = Explorer::explore(gated_body(nullptr), reference);
   EXPECT_EQ(serial.executions, 1680);
 
-  const std::string cp = temp_path("subc_ckpt_spill.jsonl");
-  remove_file(cp);
-  remove_file(cp + ".spill");
+  Gate gate;
   Explorer::Options tight = reference;
-  tight.threads = 2;          // one worker, kept busy by whole subtrees
-  tight.frontier_depth = 2;   // 9 units of ~190 executions each
-  tight.frontier_queue_capacity = 2;
-  tight.checkpoint_path = cp;
-  const auto spilled = Explorer::explore(
-      gated_body(std::make_shared<std::atomic<bool>>(), cp + ".spill"), tight);
-  expect_same_result(spilled, serial, "spill");
-  EXPECT_TRUE(file_exists(cp + ".spill"));
-  EXPECT_NE(read_file(cp + ".spill").find("\"kind\":\"spill\""),
-            std::string::npos);
-  remove_file(cp);
-  remove_file(cp + ".spill");
+  tight.threads = 2;  // one worker, held in its first unit
+  tight.frontier_depth = static_cast<int>(kDepth);
+  const auto drained = Explorer::explore(gated_body(&gate), tight);
+  expect_same_result(drained, serial, "ring pressure");
+  EXPECT_GT(gate.frontier_cuts.load(), 256);
+  // The walker ran a unit itself and then went on cutting: a drain in the
+  // middle of the walk, which only a full ring causes.
+  EXPECT_GE(gate.cuts_at_drain.load(), 256);
+  EXPECT_LT(gate.cuts_at_drain.load(), gate.frontier_cuts.load());
 }
 
 }  // namespace

@@ -28,6 +28,28 @@ Value apply_ok(InstanceTable& table, InstanceId id, int pid, int slot, Value v,
   return out;
 }
 
+TEST(InstanceTable, RefusedOpThrowsBeforeTheHistoryRecordsIt) {
+  // A core refuses a 1sWRN slot outside [0, k) and a ⊥ proposal. The check
+  // runs before the invocation is recorded: no pending entry is left for a
+  // response that never comes, and the instance keeps serving.
+  InstanceTable table;
+  const InstanceId wrn = table.open(InstanceKind::kOneShotWrn, /*k=*/3);
+  const InstanceId gac = table.open(InstanceKind::kGac, /*n=*/3, /*i=*/0);
+  const InstanceId setc = table.open(InstanceKind::kSetConsensus, 3, 1);
+  bool hung = false;
+  EXPECT_THROW(table.apply(wrn, 0, /*slot=*/7, 10, 0, &hung), SimError);
+  EXPECT_THROW(table.apply(wrn, 0, /*slot=*/0, kBottom, 0, &hung), SimError);
+  EXPECT_THROW(table.apply(gac, 0, 0, kBottom, 0, &hung), SimError);
+  EXPECT_THROW(table.apply(setc, 0, 0, kBottom, 0, &hung), SimError);
+  for (const InstanceId id : {wrn, gac, setc}) {
+    EXPECT_TRUE(table.at(id).history.entries().empty()) << id;
+  }
+  EXPECT_EQ(table.stats().ops, 0);
+  EXPECT_EQ(apply_ok(table, wrn, 0, 0, 10), kBottom);
+  EXPECT_EQ(table.at(wrn).history.entries().size(), 1u);
+  EXPECT_FALSE(table.at(wrn).history.entries().back().pending());
+}
+
 TEST(InstanceTable, OneShotWrnLifecycle) {
   InstanceTable table;
   const InstanceId id = table.open(InstanceKind::kOneShotWrn, /*k=*/3,

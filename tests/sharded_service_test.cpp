@@ -4,8 +4,8 @@
 // and its window (what it keeps, in fixed memory, across concurrent
 // rotations), dedup short-circuiting of replayed requests,
 // backpressured inboxes that never drop accepted ops, drained tables at
-// exit, and a throwing decide callback that is counted, not fatal. Run
-// under TSan by `scripts/check.sh --service-smoke`.
+// exit, and a throwing decide callback and refused ops that are counted,
+// not fatal. Run under TSan by `scripts/check.sh --tsan`.
 #include "subc/runtime/service.hpp"
 
 #include <gtest/gtest.h>
@@ -522,6 +522,43 @@ TEST(ShardedService, ThrowingDecideCallbackIsCountedNotFatal) {
   EXPECT_EQ(decided, kInstances);
   EXPECT_EQ(calls.load(), decided);
   EXPECT_EQ(failures, decided / 3);
+}
+
+TEST(ShardedService, RefusedOpsAreCountedNotFatal) {
+  // Only the worker knows an instance's shape, so submit() cannot reject a
+  // 1sWRN slot outside [0, k) or a ⊥ proposal. The core refuses both; the
+  // worker counts each as a hung op and keeps serving, so stop() drains.
+  ShardedService svc(fast_options(2));
+  OpenSpec wrn;
+  wrn.kind = InstanceKind::kOneShotWrn;
+  wrn.a = 3;
+  wrn.total_weight = 3;
+  wrn.spec_k = 3;
+  svc.submit(svc.open(wrn), OpSpec{0, 1, /*slot=*/7, /*value=*/5, 1});
+  OpenSpec gac;
+  gac.kind = InstanceKind::kGac;
+  gac.a = 3;
+  gac.total_weight = 3;
+  gac.spec_k = 1;
+  svc.submit(svc.open(gac), OpSpec{0, 1, 0, kBottom, 1});
+  open_consensus(svc, 100);  // a well-formed instance still decides
+  svc.stop();
+
+  std::int64_t hung = 0, ops = 0, orphans = 0, skipped = 0, msgs_op = 0;
+  std::int64_t decided = 0;
+  for (const ShardStats& st : svc.stats()) {
+    hung += st.hung_ops;
+    ops += st.ops;
+    orphans += st.orphan_ops;
+    skipped += st.skipped_ops;
+    msgs_op += st.msgs_op;
+    decided += st.decided;
+    EXPECT_EQ(st.live_at_exit, 0);
+    EXPECT_EQ(st.gc_sweeps, st.opened);
+  }
+  EXPECT_EQ(hung, 2);
+  EXPECT_EQ(ops + orphans + skipped, msgs_op);
+  EXPECT_EQ(decided, 1);
 }
 
 TEST(ShardedService, ClientSideValidationAndStopSemantics) {

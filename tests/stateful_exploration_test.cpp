@@ -5,7 +5,8 @@
 //     executions, with the verdict and completeness of the plain search;
 //   - violations are still found, and the reported trace replays and
 //     shrinks (stateful never hides a bug — soundness);
-//   - serial stateful searches are fully deterministic;
+//   - serial stateful searches are fully deterministic, and bench_f5's
+//     mixed 3x4 cell keeps its tenfold cut;
 //   - parallel stateful searches reach the same verdict as serial ones;
 //   - worlds stepping through objects that do not report fingerprints
 //     degrade to zero cuts (the poison rule), never to a wrong verdict;
@@ -113,6 +114,37 @@ TEST(StatefulExploration, ConvergentWorldCutsAndAgreesWithStateless) {
     EXPECT_EQ(plain.stateful_cuts, 0);
     EXPECT_EQ(plain.stateful_states, 0);
   }
+}
+
+TEST(StatefulExploration, MixedGridCellKeepsItsTenfoldCut) {
+  // BENCH_F5's stateful headline cell: each of 3 processes alternates a
+  // write to its own register and one to a shared register, 4 steps each.
+  // A count, not a timing: sleep sets alone run 90 executions, sleep sets
+  // plus the visited set 9 — the factor of 10 bench_f5 reports as
+  // `best_mixed_factor`.
+  const ExecutionBody body = [](ScheduleDriver& driver) {
+    Runtime rt;
+    Register<> shared(0);
+    RegisterArray<> own(3, 0);
+    for (int p = 0; p < 3; ++p) {
+      rt.add_process([&, p](Context& ctx) {
+        for (int s = 0; s < 4; ++s) {
+          if (s % 2 == 0) {
+            own[p].write(ctx, s);
+          } else {
+            shared.write(ctx, p);
+          }
+        }
+      });
+    }
+    rt.run(driver);
+  };
+  const auto sleep = explore(body, /*stateful=*/false);
+  const auto st = explore(body, /*stateful=*/true);
+  EXPECT_TRUE(sleep.ok() && sleep.complete);
+  EXPECT_TRUE(st.ok() && st.complete);
+  EXPECT_EQ(sleep.executions, 90);
+  EXPECT_EQ(st.executions, 9);
 }
 
 TEST(StatefulExploration, SerialSearchIsDeterministic) {
