@@ -28,7 +28,7 @@ struct CounterSpec {
     Value total = 0;
   };
   [[nodiscard]] State initial() const { return {}; }
-  bool apply(State& s, const std::vector<Value>& op,
+  bool apply(State& s, std::span<const Value> op,
              std::vector<Value>& response) const {
     response = {s.total};
     if (op[0] == 0) {

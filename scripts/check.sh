@@ -43,9 +43,10 @@
 #   scripts/check.sh --tsan       the full pass's ThreadSanitizer stage only:
 #                                 the explorer (serial and parallel walks,
 #                                 source-set reports, checkpoints, tickers
-#                                 in parallel searches), the fiber layer and
+#                                 in parallel searches), the fiber layer,
 #                                 the sharded service (inboxes, the dedup
-#                                 memo's rotations, stop/drain/join)
+#                                 memo's rotations, stop/drain/join) and the
+#                                 per-thread allocation counters' registry
 #
 # Wall-clock performance is gated by perfbench (BENCHMARK.json), not here.
 set -euo pipefail
@@ -77,14 +78,16 @@ done
 # --- ThreadSanitizer: guard the explorer's walker and work queue, --------
 # cancellation paths and source-set reports (units hand their demands on
 # the decisions above their roots back to the walker), tickers fed from
-# parallel searches, the fiber layer's TSan integration, and the sharded
-# service's inboxes, dedup memo and stop()/drain/join teardown. The same
+# parallel searches, the fiber layer's TSan integration, the sharded
+# service's inboxes, dedup memo and stop()/drain/join teardown, and the
+# per-thread allocation counters (stepper_test counts carves on plain
+# threads and search workers, read after they exit). The same
 # suites run un-sanitized in tier-1; this stage is the data-race gate (CI
 # runs it as `--tsan`).
 tsan_stage() {
   local tests=(fiber_test explorer_test parallel_explorer_test reduction_test
     checkpoint_resume_test equivalence_pin_test observer_test
-    sharded_service_test)
+    sharded_service_test stepper_test)
   cmake -B build-tsan -G Ninja \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer -g -O1" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"

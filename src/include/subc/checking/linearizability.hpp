@@ -9,7 +9,7 @@
 //   struct Spec {
 //     struct State;                       // copyable
 //     State initial() const;
-//     bool apply(State&, const std::vector<Value>& op,
+//     bool apply(State&, std::span<const Value> op,
 //                std::vector<Value>& response) const;  // false = illegal
 //     std::string key(const State&) const;            // memoization key
 //     std::uint64_t hash(const State&) const;         // OPTIONAL (see below)
@@ -28,6 +28,16 @@
 // is kept behind a flag purely so tests can differentially validate the
 // hashed path (tests/linearizability_memo_test.cpp).
 //
+// `apply` gets an empty `response` and fills it; the checker reuses the
+// vector (and the `State` it passes) across calls, so a spec that assigns
+// in place allocates nothing per DFS node.
+//
+// Scratch: the DFS's per-depth states, its response buffer, the failed-set
+// memo and the order under construction live in per-thread scratch that a
+// warm check reuses, one scratch per nesting level (a spec whose `apply`
+// runs a check of its own gets the next level's). The memo starts at 64
+// slots and clears only the slots the previous check filled.
+//
 // Semantics follow the papers' §2 definition of linearizability: a legal
 // sequential ordering of all *completed* operations plus a (possibly empty)
 // subset of the uncompleted ones, respecting real-time order, with every
@@ -36,8 +46,11 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "subc/runtime/hashing.hpp"
@@ -93,7 +106,9 @@ std::uint64_t state_fingerprint(const Spec& spec,
 /// Open-addressing set of 64-bit fingerprints. Linear probing over a
 /// power-of-two table; 0 is the empty-slot sentinel (fingerprint 0 is
 /// remapped to 1 — the mixer makes that indistinguishable from any other
-/// collision). Grows at ~70% load. Insert-only, which is all the memo needs.
+/// collision). Grows at ~70% load. Insert-only between `clear()`s, which is
+/// all the memo needs; `clear()` empties only the slots filled since the
+/// last one, so a reused set costs what it holds, not its capacity.
 class FingerprintSet {
  public:
   FingerprintSet() : slots_(kInitialSlots, 0) {}
@@ -113,14 +128,21 @@ class FingerprintSet {
 
   void insert(std::uint64_t fp) {
     fp += (fp == 0);
-    if ((size_ + 1) * 10 >= slots_.size() * 7) {
+    if ((filled_.size() + 1) * 10 >= slots_.size() * 7) {
       grow();
     }
     insert_raw(fp);
   }
 
+  void clear() noexcept {
+    for (const std::size_t i : filled_) {
+      slots_[i] = 0;
+    }
+    filled_.clear();
+  }
+
  private:
-  static constexpr std::size_t kInitialSlots = 1024;
+  static constexpr std::size_t kInitialSlots = 64;
 
   void insert_raw(std::uint64_t fp) {
     const std::uint64_t mask = slots_.size() - 1;
@@ -130,16 +152,16 @@ class FingerprintSet {
       }
       if (slots_[i] == 0) {
         slots_[i] = fp;
-        ++size_;
+        filled_.push_back(i);
         return;
       }
     }
   }
 
   void grow() {
-    std::vector<std::uint64_t> old = std::move(slots_);
+    const std::vector<std::uint64_t> old = std::move(slots_);
     slots_.assign(old.size() * 2, 0);
-    size_ = 0;
+    filled_.clear();
     for (const std::uint64_t fp : old) {
       if (fp != 0) {
         insert_raw(fp);
@@ -148,7 +170,53 @@ class FingerprintSet {
   }
 
   std::vector<std::uint64_t> slots_;
-  std::size_t size_ = 0;
+  std::vector<std::size_t> filled_;  ///< indices of the occupied slots
+};
+
+/// What one check works in: `states[d]` is the spec state after `d`
+/// linearized ops, assigned in place; `response` takes each candidate's
+/// response, which is compared before the DFS descends, so one serves every
+/// depth; `failed` is the hashed memo.
+template <class Spec>
+struct CheckScratch {
+  std::vector<typename Spec::State> states;
+  std::vector<Value> response;
+  FingerprintSet failed;
+  std::vector<std::size_t> order;
+};
+
+/// Leases this thread's scratch for the current nesting level of
+/// `check_linearizable<Spec>`: a check run from inside a spec's `apply`
+/// takes the next level, so it never shares the outer check's buffers.
+template <class Spec>
+class ScratchLease {
+ public:
+  ScratchLease() {
+    Levels& levels = levels_();
+    if (levels.depth == levels.scratch.size()) {
+      levels.scratch.push_back(std::make_unique<CheckScratch<Spec>>());
+    }
+    scratch_ = levels.scratch[levels.depth++].get();
+  }
+  ~ScratchLease() { --levels_().depth; }
+  ScratchLease(const ScratchLease&) = delete;
+  ScratchLease& operator=(const ScratchLease&) = delete;
+
+  [[nodiscard]] CheckScratch<Spec>& operator*() const noexcept {
+    return *scratch_;
+  }
+
+ private:
+  struct Levels {
+    std::vector<std::unique_ptr<CheckScratch<Spec>>> scratch;
+    std::size_t depth = 0;
+  };
+  static Levels& levels_() {
+    thread_local Levels levels;
+    return levels;
+  }
+
+  CheckScratch<Spec>* scratch_ = nullptr;
 };
 
 /// The DFS, templated on the memo so the hashed hot path compiles with no
@@ -161,28 +229,30 @@ struct LinearizeFrame {
   const Spec& spec;
   const std::vector<HistoryEntry>& h;
   std::uint64_t completed_mask;
-  const std::vector<std::uint64_t>& pred;
-  FingerprintSet& fp_failed;
-  std::unordered_set<std::string>& str_failed;
-  std::vector<std::size_t>& order;
+  const std::uint64_t* pred;
+  CheckScratch<Spec>& scratch;
+  std::unordered_set<std::string>* str_failed;  ///< reference memo only
 
-  bool dfs(std::uint64_t done, const typename Spec::State& state) {
+  bool dfs(std::uint64_t done, std::size_t depth) {
     if ((done & completed_mask) == completed_mask) {
       return true;  // all completed ops linearized; rest may be dropped
     }
+    const typename Spec::State& state = scratch.states[depth];
     std::uint64_t fp = 0;
     std::string memo_key;
     if constexpr (kHashedMemo) {
       fp = mix64(state_fingerprint(spec, state) ^ mix64(done));
-      if (fp_failed.contains(fp)) {
+      if (scratch.failed.contains(fp)) {
         return false;
       }
     } else {
       memo_key = std::to_string(done) + "#" + spec.key(state);
-      if (str_failed.contains(memo_key)) {
+      if (str_failed->contains(memo_key)) {
         return false;
       }
     }
+    typename Spec::State& next = scratch.states[depth + 1];
+    std::vector<Value>& response = scratch.response;
     for (std::size_t i = 0; i < h.size(); ++i) {
       const std::uint64_t bit = 1ULL << i;
       if (done & bit) {
@@ -193,24 +263,24 @@ struct LinearizeFrame {
       if ((pred[i] & ~done) != 0) {
         continue;
       }
-      typename Spec::State next = state;
-      std::vector<Value> response;
+      next = state;
+      response.clear();
       if (!spec.apply(next, h[i].op, response)) {
         continue;  // op illegal here; try other linearization points
       }
-      if (!h[i].pending() && response != h[i].response) {
+      if (!h[i].pending() && !(h[i].response == response)) {
         continue;  // completed op must return exactly what it returned
       }
-      order.push_back(i);
-      if (dfs(done | bit, next)) {
+      scratch.order.push_back(i);
+      if (dfs(done | bit, depth + 1)) {
         return true;
       }
-      order.pop_back();
+      scratch.order.pop_back();
     }
     if constexpr (kHashedMemo) {
-      fp_failed.insert(fp);
+      scratch.failed.insert(fp);
     } else {
-      str_failed.insert(memo_key);
+      str_failed->insert(memo_key);
     }
     return false;
   }
@@ -243,7 +313,7 @@ LinearizationResult check_linearizable(const Spec& spec,
   // Real-time predecessor masks, computed once: bit j of pred[i] says h[j]
   // must linearize before h[i]. The DFS minimality test then collapses to a
   // single mask check instead of an O(n) scan per candidate.
-  std::vector<std::uint64_t> pred(n, 0);
+  std::uint64_t pred[64] = {};
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
       if (j != i && detail::precedes(h[j], h[i])) {
@@ -252,23 +322,30 @@ LinearizationResult check_linearizable(const Spec& spec,
     }
   }
 
-  detail::FingerprintSet fp_failed;
-  std::unordered_set<std::string> str_failed;
-  std::vector<std::size_t> order;
+  const detail::ScratchLease<Spec> lease;
+  detail::CheckScratch<Spec>& scratch = *lease;
+  scratch.failed.clear();
+  scratch.order.clear();
+  typename Spec::State initial = spec.initial();
+  if (scratch.states.size() < n + 1) {
+    scratch.states.resize(n + 1, initial);
+  }
+  scratch.states[0] = std::move(initial);
 
   bool ok = false;
   if (memo == MemoKind::kHashed) {
     detail::LinearizeFrame<Spec, true> frame{
-        spec, h, completed_mask, pred, fp_failed, str_failed, order};
-    ok = frame.dfs(0, spec.initial());
+        spec, h, completed_mask, pred, scratch, nullptr};
+    ok = frame.dfs(0, 0);
   } else {
+    std::unordered_set<std::string> str_failed;
     detail::LinearizeFrame<Spec, false> frame{
-        spec, h, completed_mask, pred, fp_failed, str_failed, order};
-    ok = frame.dfs(0, spec.initial());
+        spec, h, completed_mask, pred, scratch, &str_failed};
+    ok = frame.dfs(0, 0);
   }
   if (ok) {
     result.linearizable = true;
-    result.order = order;
+    result.order.assign(scratch.order.begin(), scratch.order.end());
   } else {
     result.message = "no legal linearization exists";
   }

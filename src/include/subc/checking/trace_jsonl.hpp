@@ -307,21 +307,27 @@ inline std::string string_field(std::string_view line, std::string_view key) {
                  std::string(line));
 }
 
-/// Extracts the `[v1,v2,...]` array following `"key":`.
-inline std::vector<Value> values_field(std::string_view line,
-                                       std::string_view key) {
+/// Extracts the `[v1,v2,...]` array following `"key":`; more values than a
+/// history tuple holds (`ValueTuple::kCapacity`) throw `SimError`.
+inline ValueTuple tuple_field(std::string_view line, std::string_view key) {
   const std::string pat = "\"" + std::string(key) + "\":[";
   const std::size_t at = line.find(pat);
   if (at == std::string_view::npos) {
     throw SimError("parse_trace_jsonl: missing field \"" + std::string(key) +
                    "\" in: " + std::string(line));
   }
-  std::vector<Value> out;
+  Value values[ValueTuple::kCapacity] = {};
+  std::size_t n = 0;
   const char* p = line.data() + at + pat.size();
   const char* end = line.data() + line.size();
   while (p < end && *p != ']') {
+    if (n == ValueTuple::kCapacity) {
+      throw SimError("parse_trace_jsonl: more than " +
+                     std::to_string(ValueTuple::kCapacity) + " values in \"" +
+                     std::string(key) + "\" of: " + std::string(line));
+    }
     char* after = nullptr;
-    out.push_back(std::strtoll(p, &after, 10));
+    values[n++] = std::strtoll(p, &after, 10);
     if (after == p) {
       throw SimError("parse_trace_jsonl: bad value array in: " +
                      std::string(line));
@@ -331,7 +337,23 @@ inline std::vector<Value> values_field(std::string_view line,
       ++p;
     }
   }
-  return out;
+  return ValueTuple(std::span<const Value>(values, n));
+}
+
+/// The integer field `key` of an invoke or respond line, which must lie in
+/// [0, `limit`). A handle is an index into its source History, so it stays
+/// below the number of invoke events read so far; a time `"t"` is its
+/// History's clock, which ticks once per invoke and respond, so it stays
+/// below the number of both read so far (this line's included in each).
+inline std::int64_t bounded_field(std::string_view line, std::string_view key,
+                                  std::int64_t limit) {
+  const std::int64_t v = int_field_or_throw(line, key);
+  if (v < 0 || v >= limit) {
+    throw SimError("parse_trace_jsonl: \"" + std::string(key) + "\" " +
+                   std::to_string(v) + " outside [0, " +
+                   std::to_string(limit) + ") in: " + std::string(line));
+  }
+  return v;
 }
 
 }  // namespace jsonl_detail
@@ -339,12 +361,20 @@ inline std::vector<Value> values_field(std::string_view line,
 /// Parses a JSONL trace produced by `JsonlTraceWriter`. History entries are
 /// rebuilt by matching respond events to invoke events via their handles
 /// (handles are per-source-History; traces interleaving several histories
-/// merge into one, which is what the renderer wants anyway).
+/// merge into one, which is what the renderer wants anyway). The trace is
+/// outside input, so indices and sizes are checked before use: a handle or
+/// time `"t"` outside the range its history could have produced (see
+/// `bounded_field`; the writer must have been attached before its
+/// history's first invoke), a response timed before its invocation, and an
+/// op or response of more than `ValueTuple::kCapacity` values throw
+/// `SimError`.
 inline ParsedTrace parse_trace_jsonl(const std::string& text) {
   namespace jd = jsonl_detail;
   ParsedTrace out;
   // source handle -> index in out.history (parallel to HistoryRecorder).
   std::vector<std::size_t> handle_map;
+  std::int64_t invokes = 0;
+  std::int64_t events = 0;  // invokes and responds
   std::istringstream in(text);
   std::string line;
   while (std::getline(in, line)) {
@@ -371,17 +401,17 @@ inline ParsedTrace parse_trace_jsonl(const std::string& text) {
     } else if (ev == "invoke") {
       HistoryEntry e;
       e.pid = static_cast<int>(jd::int_field_or_throw(line, "pid"));
-      e.invoked_at = jd::int_field_or_throw(line, "t");
-      e.op = jd::values_field(line, "op");
-      const auto handle =
-          static_cast<std::size_t>(jd::int_field_or_throw(line, "handle"));
+      e.invoked_at = jd::bounded_field(line, "t", ++events);
+      e.op = jd::tuple_field(line, "op");
+      const auto handle = static_cast<std::size_t>(
+          jd::bounded_field(line, "handle", ++invokes));
       if (handle_map.size() <= handle) {
         handle_map.resize(handle + 1, static_cast<std::size_t>(-1));
       }
       handle_map[handle] = out.history.restore(std::move(e));
     } else if (ev == "respond") {
       const auto handle =
-          static_cast<std::size_t>(jd::int_field_or_throw(line, "handle"));
+          static_cast<std::size_t>(jd::bounded_field(line, "handle", invokes));
       if (handle >= handle_map.size() ||
           handle_map[handle] == static_cast<std::size_t>(-1)) {
         throw SimError("parse_trace_jsonl: respond without invoke: " + line);
@@ -389,8 +419,12 @@ inline ParsedTrace parse_trace_jsonl(const std::string& text) {
       // Completing a restored entry: rebuild it in place with the recorded
       // response and timestamp.
       HistoryEntry e = out.history.entries()[handle_map[handle]];
-      e.response = jd::values_field(line, "resp");
-      e.responded_at = jd::int_field_or_throw(line, "t");
+      e.response = jd::tuple_field(line, "resp");
+      e.responded_at = jd::bounded_field(line, "t", ++events);
+      if (e.responded_at <= e.invoked_at) {
+        throw SimError("parse_trace_jsonl: response before its invocation: " +
+                       line);
+      }
       out.history.amend(handle_map[handle], std::move(e));
     } else if (ev == "violation") {
       out.violations.push_back(jd::string_field(line, "msg"));

@@ -23,6 +23,8 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -222,7 +224,7 @@ struct OneShotWrnSpec {
 
   /// Applies op = {index, v}. Returns false when the op is illegal in this
   /// state; otherwise fills `response` and mutates `state`.
-  bool apply(State& state, const std::vector<Value>& op,
+  bool apply(State& state, std::span<const Value> op,
              std::vector<Value>& response) const {
     SUBC_ASSERT(op.size() == 2);
     const auto i = static_cast<std::size_t>(op[0]);
@@ -234,6 +236,12 @@ struct OneShotWrnSpec {
     state.slots[i] = op[1];
     response = {state.slots[(i + 1) % static_cast<std::size_t>(k)]};
     return true;
+  }
+  /// The same, for an op written in place: `apply(state, {index, v}, r)`.
+  bool apply(State& state, std::initializer_list<Value> op,
+             std::vector<Value>& response) const {
+    return apply(state, std::span<const Value>(op.begin(), op.size()),
+                 response);
   }
 
   /// Memoization key for the checker.

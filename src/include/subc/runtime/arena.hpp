@@ -16,7 +16,10 @@
 // `alloc_counters()` exposes process-wide allocation telemetry (arena
 // chunk growth, arena leases, fiber-stack pool traffic) that benches stamp
 // into BENCH_<ID>.json, making hot-path allocation regressions visible
-// across PRs.
+// across PRs. Each thread counts into cells of its own, which only it
+// writes (a relaxed load and store, never a locked read-modify-write on a
+// shared line); one registry sums the live threads' cells and keeps the
+// totals of threads that have exited.
 #pragma once
 
 #include <atomic>
@@ -29,8 +32,9 @@
 
 namespace subc {
 
-/// Process-wide allocation telemetry (relaxed counters; exact totals only
-/// once concurrent work has quiesced, which is when benches read them).
+/// Process-wide allocation telemetry: the sum over every thread's counters
+/// (exact once concurrent work has quiesced, which is when benches read
+/// them; an exited thread's counts stay in the sum).
 struct AllocCounters {
   /// Arena chunks obtained from the global allocator (capacity growth).
   std::uint64_t arena_chunks = 0;
@@ -61,20 +65,30 @@ struct AllocCounters {
 };
 
 namespace detail {
-struct AllocCounterCells {
-  std::atomic<std::uint64_t> arena_chunks{0};
-  std::atomic<std::uint64_t> arena_bytes{0};
-  std::atomic<std::uint64_t> arena_reuses{0};
-  std::atomic<std::uint64_t> fiber_stack_reuses{0};
-  std::atomic<std::uint64_t> fiber_stack_allocs{0};
-  std::atomic<std::uint64_t> stepped_blocks_carved{0};
-  std::atomic<std::uint64_t> stepped_block_reuses{0};
-  std::atomic<std::uint64_t> stepped_block_bytes{0};
-  std::atomic<std::uint64_t> instance_blocks_carved{0};
-  std::atomic<std::uint64_t> instance_block_reuses{0};
-  std::atomic<std::uint64_t> instance_block_bytes{0};
-};
-AllocCounterCells& alloc_counter_cells() noexcept;
+
+/// This thread's counters, registered with the process-wide sum on first
+/// use. Only the owning thread writes them, through `bump`.
+AllocCounters& register_alloc_counters();
+inline thread_local AllocCounters* tl_alloc_counters = nullptr;
+
+[[nodiscard]] inline AllocCounters& thread_alloc_counters() {
+  AllocCounters* cells = tl_alloc_counters;
+  return cells != nullptr ? *cells : register_alloc_counters();
+}
+
+/// Reads a counter cell. Cells are only ever accessed atomically, since
+/// `alloc_counters()` reads them from other threads.
+[[nodiscard]] inline std::uint64_t read(std::uint64_t& cell) noexcept {
+  return std::atomic_ref<std::uint64_t>(cell).load(std::memory_order_relaxed);
+}
+
+/// Adds `n` to `cell`, one of this thread's counters. The owner is the only
+/// writer, so a relaxed load and store suffice.
+inline void bump(std::uint64_t& cell, std::uint64_t n = 1) noexcept {
+  std::atomic_ref<std::uint64_t>(cell).store(read(cell) + n,
+                                             std::memory_order_relaxed);
+}
+
 }  // namespace detail
 
 /// Snapshot of the process-wide allocation counters.
@@ -108,8 +122,7 @@ class MonotonicArena {
     }
     void* p = chunks_[chunk_].data.get() + offset;
     offset_ = offset + bytes;
-    detail::alloc_counter_cells().arena_bytes.fetch_add(
-        bytes, std::memory_order_relaxed);
+    detail::bump(detail::thread_alloc_counters().arena_bytes, bytes);
     return p;
   }
 
@@ -161,8 +174,7 @@ class MonotonicArena {
         size *= 2;
       }
       Chunk fresh{std::make_unique<std::byte[]>(size), size};
-      detail::alloc_counter_cells().arena_chunks.fetch_add(
-          1, std::memory_order_relaxed);
+      detail::bump(detail::thread_alloc_counters().arena_chunks);
       chunks_.insert(chunks_.begin() + static_cast<std::ptrdiff_t>(chunk_),
                      std::move(fresh));
     }

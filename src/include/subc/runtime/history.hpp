@@ -7,8 +7,14 @@
 // (subc/checking/linearizability.hpp) then searches for a legal sequential
 // ordering. Timestamps come from the recording order, which equals real-time
 // order because the simulation is single-threaded.
+//
+// An entry's operation and response are inline tuples of at most
+// `ValueTuple::kCapacity` values (the widest any object records is 2), so a
+// History is one vector of plain entries: recording allocates only when
+// that vector grows, and `clear()` keeps its capacity.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <initializer_list>
 #include <span>
@@ -21,13 +27,57 @@ namespace subc {
 
 class TraceObserver;
 
+/// A value tuple of at most `kCapacity` values, stored inline. Assigning a
+/// longer one throws `SimError`.
+class ValueTuple {
+ public:
+  static constexpr std::size_t kCapacity = 4;
+
+  ValueTuple() = default;
+  ValueTuple(std::initializer_list<Value> values)
+      : ValueTuple(std::span<const Value>(values.begin(), values.size())) {}
+  explicit ValueTuple(std::span<const Value> values) { assign(values); }
+
+  void assign(std::span<const Value> values) {
+    if (values.size() > kCapacity) {
+      throw SimError("history tuple of " + std::to_string(values.size()) +
+                     " values; at most " + std::to_string(kCapacity) +
+                     " fit");
+    }
+    std::copy(values.begin(), values.end(), values_);
+    size_ = values.size();
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] const Value* begin() const noexcept { return values_; }
+  [[nodiscard]] const Value* end() const noexcept { return values_ + size_; }
+  [[nodiscard]] Value operator[](std::size_t i) const noexcept {
+    return values_[i];
+  }
+  [[nodiscard]] Value front() const noexcept { return values_[0]; }
+
+  /// Implicit, so a tuple passes wherever values are taken as a span.
+  operator std::span<const Value>() const noexcept {
+    return {values_, size_};
+  }
+
+  friend bool operator==(const ValueTuple& a, std::span<const Value> b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  Value values_[kCapacity] = {};
+  std::size_t size_ = 0;
+};
+
 /// One completed (or pending) high-level operation. `op` and `response` are
 /// small value tuples; their meaning is fixed by the sequential spec the
 /// history is checked against.
 struct HistoryEntry {
   int pid = -1;
-  std::vector<Value> op;        ///< operation name/arguments, spec-defined
-  std::vector<Value> response;  ///< empty while pending
+  ValueTuple op;        ///< operation name/arguments, spec-defined
+  ValueTuple response;  ///< empty while pending
   std::int64_t invoked_at = -1;
   std::int64_t responded_at = -1;  ///< -1 while pending
 
@@ -36,38 +86,28 @@ struct HistoryEntry {
 
 /// Append-only record of high-level operations.
 ///
-/// Entry op/response buffers are recycled, so a history stops allocating in
-/// steady state. `clear()` keeps the buffers of the cleared entries in the
-/// history itself, and its next entries reuse them first: a history that is
-/// cleared and refilled (an instance block's, runtime/instance.hpp) holds
-/// at most the buffers of its largest fill. The destructor returns them to
-/// a thread-local pool (bounded, so one giant history cannot pin memory)
-/// that histories built and torn down once per execution draw from.
+/// Entries hold their tuples inline, so recording allocates only when the
+/// entry vector grows; `clear()` keeps that capacity, and a history that is
+/// cleared and refilled (an instance block's, runtime/instance.hpp) stops
+/// allocating once it has held its largest fill.
 class History {
  public:
-  History() = default;
-  ~History();
-
-  History(const History&) = default;
-  History& operator=(const History&) = default;
-  History(History&&) = default;
-  History& operator=(History&&) = default;
-
-  /// Opens an operation; returns its handle. The values are copied.
+  /// Opens an operation; returns its handle. The values are copied; more
+  /// than `ValueTuple::kCapacity` of them throw `SimError`.
   std::size_t invoke(int pid, std::span<const Value> op);
   std::size_t invoke(int pid, std::initializer_list<Value> op) {
     return invoke(pid, std::span<const Value>(op.begin(), op.size()));
   }
 
-  /// Closes operation `handle` with its response. The values are copied.
+  /// Closes operation `handle` with its response. The values are copied;
+  /// more than `ValueTuple::kCapacity` of them throw `SimError`.
   void respond(std::size_t handle, std::span<const Value> response);
   void respond(std::size_t handle, std::initializer_list<Value> response) {
     respond(handle, std::span<const Value>(response.begin(), response.size()));
   }
 
-  /// Forgets all entries (keeping their buffers for the next entries) and
-  /// rewinds the clock — the recycling alternative to destroying the
-  /// History.
+  /// Forgets all entries (keeping the entry vector's capacity) and rewinds
+  /// the clock — the recycling alternative to destroying the History.
   void clear();
 
   [[nodiscard]] const std::vector<HistoryEntry>& entries() const noexcept {
@@ -100,8 +140,6 @@ class History {
 
  private:
   std::vector<HistoryEntry> entries_;
-  /// Empty buffers of cleared entries, taken before the thread-local pool.
-  std::vector<std::vector<Value>> spare_;
   std::int64_t clock_ = 0;
   TraceObserver* sink_ = nullptr;
 };

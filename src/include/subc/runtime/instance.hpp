@@ -18,10 +18,10 @@
 // long-running service churning millions of instances reuses a bounded set
 // of blocks instead of growing the arena monotonically. A recycled block
 // keeps the capacity of everything it grew: its object-state vectors, its
-// history's entry list and value buffers, and the service's quorum
-// bookkeeping (proposals, responses). Once the blocks have served the shapes
-// a workload uses, opening, serving and reclaiming an instance costs no heap
-// allocation. Telemetry lands in `alloc_counters()`
+// history's entry list (entries hold their value tuples inline), and the
+// service's quorum bookkeeping (proposals, responses). Once the blocks have
+// served the shapes a workload uses, opening, serving and reclaiming an
+// instance costs no heap allocation. Telemetry lands in `alloc_counters()`
 // (`instance_blocks_carved` / `instance_block_reuses`).
 //
 // Lookup: live ids sit in one open-addressed index (linear probing, deletion

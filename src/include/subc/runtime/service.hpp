@@ -15,8 +15,8 @@
 // weight, proposals, responses) in the instance's own table block, so one
 // probe of the table's id index finds an op's instance when the op is
 // drained and one more when it is applied; deciding, the callback and GC
-// scheduling reuse that block. Blocks, their history buffers and the delay
-// lanes keep their capacity, so once a shard has warmed up a request costs
+// scheduling reuse that block. Blocks, their histories' entry lists and the
+// delay lanes keep their capacity, so once a shard has warmed up a request costs
 // its worker no heap allocation.
 //
 // Backpressure mirrors the explorer's frontier ring: `try_push` failing on

@@ -1,56 +1,101 @@
 #include "subc/runtime/arena.hpp"
 
+#include <iterator>
+#include <mutex>
+
 namespace subc {
 
+namespace {
+
+// Every AllocCounters field, so sums and differences are one loop each.
+constexpr std::uint64_t AllocCounters::*kCounterFields[] = {
+    &AllocCounters::arena_chunks,
+    &AllocCounters::arena_bytes,
+    &AllocCounters::arena_reuses,
+    &AllocCounters::fiber_stack_reuses,
+    &AllocCounters::fiber_stack_allocs,
+    &AllocCounters::stepped_blocks_carved,
+    &AllocCounters::stepped_block_reuses,
+    &AllocCounters::stepped_block_bytes,
+    &AllocCounters::instance_blocks_carved,
+    &AllocCounters::instance_block_reuses,
+    &AllocCounters::instance_block_bytes,
+};
+static_assert(sizeof(AllocCounters) ==
+              std::size(kCounterFields) * sizeof(std::uint64_t));
+
+/// The counters of every live thread, and the summed counters of the
+/// threads that have exited.
+struct CounterRegistry {
+  std::mutex mu;
+  std::vector<AllocCounters*> live;
+  AllocCounters exited;
+};
+
+CounterRegistry& counter_registry() {
+  // Never destroyed: threads may still exit after static destruction.
+  static CounterRegistry* registry = new CounterRegistry;
+  return *registry;
+}
+
+// Counts a thread makes from its own exit-time destructors, after its
+// counters were folded into the exited totals, land here and are dropped.
+thread_local AllocCounters tl_uncounted;
+
+/// One thread's counters: registered on the thread's first count, folded
+/// into the exited totals when the thread exits.
+struct ThreadCounters {
+  AllocCounters counts;
+
+  ThreadCounters() {
+    CounterRegistry& registry = counter_registry();
+    const std::lock_guard<std::mutex> lock(registry.mu);
+    registry.live.push_back(&counts);
+  }
+
+  ThreadCounters(const ThreadCounters&) = delete;
+  ThreadCounters& operator=(const ThreadCounters&) = delete;
+
+  ~ThreadCounters() {
+    CounterRegistry& registry = counter_registry();
+    {
+      const std::lock_guard<std::mutex> lock(registry.mu);
+      for (const auto field : kCounterFields) {
+        registry.exited.*field += detail::read(counts.*field);
+      }
+      std::erase(registry.live, &counts);
+    }
+    detail::tl_alloc_counters = &tl_uncounted;
+  }
+};
+
+}  // namespace
+
 namespace detail {
-AllocCounterCells& alloc_counter_cells() noexcept {
-  static AllocCounterCells cells;
-  return cells;
+AllocCounters& register_alloc_counters() {
+  thread_local ThreadCounters counters;
+  tl_alloc_counters = &counters.counts;
+  return counters.counts;
 }
 }  // namespace detail
 
 AllocCounters alloc_counters() noexcept {
-  const detail::AllocCounterCells& c = detail::alloc_counter_cells();
-  AllocCounters out;
-  out.arena_chunks = c.arena_chunks.load(std::memory_order_relaxed);
-  out.arena_bytes = c.arena_bytes.load(std::memory_order_relaxed);
-  out.arena_reuses = c.arena_reuses.load(std::memory_order_relaxed);
-  out.fiber_stack_reuses = c.fiber_stack_reuses.load(std::memory_order_relaxed);
-  out.fiber_stack_allocs = c.fiber_stack_allocs.load(std::memory_order_relaxed);
-  out.stepped_blocks_carved =
-      c.stepped_blocks_carved.load(std::memory_order_relaxed);
-  out.stepped_block_reuses =
-      c.stepped_block_reuses.load(std::memory_order_relaxed);
-  out.stepped_block_bytes =
-      c.stepped_block_bytes.load(std::memory_order_relaxed);
-  out.instance_blocks_carved =
-      c.instance_blocks_carved.load(std::memory_order_relaxed);
-  out.instance_block_reuses =
-      c.instance_block_reuses.load(std::memory_order_relaxed);
-  out.instance_block_bytes =
-      c.instance_block_bytes.load(std::memory_order_relaxed);
+  CounterRegistry& registry = counter_registry();
+  const std::lock_guard<std::mutex> lock(registry.mu);
+  AllocCounters out = registry.exited;
+  for (AllocCounters* counts : registry.live) {
+    for (const auto field : kCounterFields) {
+      out.*field += detail::read(counts->*field);
+    }
+  }
   return out;
 }
 
 AllocCounters alloc_counters_delta(const AllocCounters& since) noexcept {
-  const AllocCounters now = alloc_counters();
-  AllocCounters out;
-  out.arena_chunks = now.arena_chunks - since.arena_chunks;
-  out.arena_bytes = now.arena_bytes - since.arena_bytes;
-  out.arena_reuses = now.arena_reuses - since.arena_reuses;
-  out.fiber_stack_reuses = now.fiber_stack_reuses - since.fiber_stack_reuses;
-  out.fiber_stack_allocs = now.fiber_stack_allocs - since.fiber_stack_allocs;
-  out.stepped_blocks_carved =
-      now.stepped_blocks_carved - since.stepped_blocks_carved;
-  out.stepped_block_reuses =
-      now.stepped_block_reuses - since.stepped_block_reuses;
-  out.stepped_block_bytes = now.stepped_block_bytes - since.stepped_block_bytes;
-  out.instance_blocks_carved =
-      now.instance_blocks_carved - since.instance_blocks_carved;
-  out.instance_block_reuses =
-      now.instance_block_reuses - since.instance_block_reuses;
-  out.instance_block_bytes =
-      now.instance_block_bytes - since.instance_block_bytes;
+  AllocCounters out = alloc_counters();
+  for (const auto field : kCounterFields) {
+    out.*field -= since.*field;
+  }
   return out;
 }
 
@@ -70,8 +115,7 @@ ArenaLease::ArenaLease() {
   if (!pool.free.empty()) {
     arena_ = pool.free.back().release();
     pool.free.pop_back();
-    detail::alloc_counter_cells().arena_reuses.fetch_add(
-        1, std::memory_order_relaxed);
+    detail::bump(detail::thread_alloc_counters().arena_reuses);
   } else {
     arena_ = new MonotonicArena();
   }

@@ -140,12 +140,10 @@ std::unique_ptr<char[]> acquire_stack(std::size_t stack_bytes) {
   if (stack_bytes == Fiber::kDefaultStackBytes && !tl_stack_pool.empty()) {
     std::unique_ptr<char[]> stack = std::move(tl_stack_pool.back());
     tl_stack_pool.pop_back();
-    detail::alloc_counter_cells().fiber_stack_reuses.fetch_add(
-        1, std::memory_order_relaxed);
+    detail::bump(detail::thread_alloc_counters().fiber_stack_reuses);
     return stack;
   }
-  detail::alloc_counter_cells().fiber_stack_allocs.fetch_add(
-      1, std::memory_order_relaxed);
+  detail::bump(detail::thread_alloc_counters().fiber_stack_allocs);
   return std::make_unique<char[]>(stack_bytes);
 }
 

@@ -8,61 +8,10 @@
 namespace subc {
 
 namespace {
-// Thread-local recycling pool for entry op/response buffers. Bounded so a
-// one-off giant history cannot pin memory; beyond the cap buffers just free.
-constexpr std::size_t kMaxPooledValueBufs = 256;
-
-struct ValueBufPool {
-  std::vector<std::vector<Value>> free;
-};
-thread_local ValueBufPool tl_value_buf_pool;
-
-/// A buffer holding `init`: one of `spare` if it has any, else one from the
-/// thread-local pool, else a fresh one.
-std::vector<Value> acquire_buf(std::vector<std::vector<Value>>& spare,
-                               std::span<const Value> init) {
-  std::vector<std::vector<Value>>& from =
-      spare.empty() ? tl_value_buf_pool.free : spare;
-  std::vector<Value> buf;
-  if (!from.empty()) {
-    buf = std::move(from.back());
-    from.pop_back();
-  }
-  buf.assign(init.begin(), init.end());
-  return buf;
-}
-
-void release_buf(std::vector<Value>&& buf) {
-  if (buf.capacity() == 0) {
-    return;
-  }
-  ValueBufPool& pool = tl_value_buf_pool;
-  if (pool.free.size() < kMaxPooledValueBufs) {
-    buf.clear();
-    pool.free.push_back(std::move(buf));
-  }
-}
+constexpr std::size_t kInitialEntries = 8;
 }  // namespace
 
-History::~History() {
-  for (HistoryEntry& e : entries_) {
-    release_buf(std::move(e.op));
-    release_buf(std::move(e.response));
-  }
-  for (std::vector<Value>& buf : spare_) {
-    release_buf(std::move(buf));
-  }
-}
-
 void History::clear() {
-  for (HistoryEntry& e : entries_) {
-    for (std::vector<Value>* buf : {&e.op, &e.response}) {
-      if (buf->capacity() != 0) {
-        buf->clear();
-        spare_.push_back(std::move(*buf));
-      }
-    }
-  }
   entries_.clear();
   clock_ = 0;
 }
@@ -70,13 +19,17 @@ void History::clear() {
 std::size_t History::invoke(int pid, std::span<const Value> op) {
   HistoryEntry e;
   e.pid = pid;
-  e.op = acquire_buf(spare_, op);
+  e.op.assign(op);  // throws on an oversized tuple before anything changes
   e.invoked_at = clock_++;
-  entries_.push_back(std::move(e));
+  if (entries_.capacity() == 0) {
+    // Recorded histories are short: one allocation instead of a doubling
+    // per op for each history a world builds.
+    entries_.reserve(kInitialEntries);
+  }
+  entries_.push_back(e);
   const std::size_t handle = entries_.size() - 1;
   if (sink_ != nullptr) {
-    const HistoryEntry& recorded = entries_[handle];
-    sink_->on_invoke(recorded.pid, handle, recorded.invoked_at, recorded.op);
+    sink_->on_invoke(e.pid, handle, e.invoked_at, e.op);
   }
   return handle;
 }
@@ -89,7 +42,7 @@ void History::respond(std::size_t handle, std::span<const Value> response) {
   if (!e.pending()) {
     throw SimError("respond: operation already completed");
   }
-  e.response = acquire_buf(spare_, response);
+  e.response.assign(response);
   e.responded_at = clock_++;
   if (sink_ != nullptr) {
     sink_->on_respond(e.pid, handle, e.responded_at, e.response);
@@ -98,7 +51,7 @@ void History::respond(std::size_t handle, std::span<const Value> response) {
 
 std::size_t History::restore(HistoryEntry entry) {
   clock_ = std::max({clock_, entry.invoked_at + 1, entry.responded_at + 1});
-  entries_.push_back(std::move(entry));
+  entries_.push_back(entry);
   return entries_.size() - 1;
 }
 
@@ -107,7 +60,7 @@ void History::amend(std::size_t handle, HistoryEntry entry) {
     throw SimError("amend: bad history handle");
   }
   clock_ = std::max({clock_, entry.invoked_at + 1, entry.responded_at + 1});
-  entries_[handle] = std::move(entry);
+  entries_[handle] = entry;
 }
 
 std::size_t History::completed() const noexcept {

@@ -23,20 +23,19 @@ InstanceTable::~InstanceTable() {
 }
 
 InstanceBlock* InstanceTable::acquire_block() {
-  auto& cells = detail::alloc_counter_cells();
+  AllocCounters& counts = detail::thread_alloc_counters();
   if (!free_.empty()) {
     InstanceBlock* block = free_.back();
     free_.pop_back();
     ++stats_.block_reuses;
-    cells.instance_block_reuses.fetch_add(1, std::memory_order_relaxed);
+    detail::bump(counts.instance_block_reuses);
     return block;
   }
   auto* block = arena_->create<InstanceBlock>();
   carved_.push_back(block);
   ++stats_.blocks_carved;
-  cells.instance_blocks_carved.fetch_add(1, std::memory_order_relaxed);
-  cells.instance_block_bytes.fetch_add(sizeof(InstanceBlock),
-                                       std::memory_order_relaxed);
+  detail::bump(counts.instance_blocks_carved);
+  detail::bump(counts.instance_block_bytes, sizeof(InstanceBlock));
   return block;
 }
 
@@ -230,7 +229,7 @@ void InstanceTable::release(std::size_t hole) {
     }
   }
   index_[hole] = IndexSlot{};
-  block->history.clear();  // keeps its entry buffers for the next instance
+  block->history.clear();  // keeps its entry capacity for the next instance
   free_.push_back(block);
   ++stats_.gcd;
   --stats_.live;

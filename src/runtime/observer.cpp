@@ -235,7 +235,7 @@ void HistoryRecorder::on_respond(int /*pid*/, std::size_t handle,
 }
 
 void HistoryRecorder::reset() {
-  // Reuse the same History (and its pooled buffers) instead of reallocating
+  // Reuse the same History (and its entry capacity) instead of reallocating
   // one per run; handle_map_ keeps its capacity too.
   history_->clear();
   handle_map_.clear();

@@ -163,16 +163,15 @@ void Runtime::set_stepped_recovery(int pid,
 }
 
 void* Runtime::carve_stepped_block(std::size_t bytes, std::size_t align) {
-  auto& cells = detail::alloc_counter_cells();
-  const std::uint64_t chunks_before =
-      cells.arena_chunks.load(std::memory_order_relaxed);
+  AllocCounters& counts = detail::thread_alloc_counters();
+  const std::uint64_t chunks_before = detail::read(counts.arena_chunks);
   void* block = arena_->allocate(bytes, align);
-  cells.stepped_blocks_carved.fetch_add(1, std::memory_order_relaxed);
-  cells.stepped_block_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  if (cells.arena_chunks.load(std::memory_order_relaxed) == chunks_before) {
+  detail::bump(counts.stepped_blocks_carved);
+  detail::bump(counts.stepped_block_bytes, bytes);
+  if (detail::read(counts.arena_chunks) == chunks_before) {
     // Carved from already-warm arena storage: the steady state the
     // allocation-free hot path is designed for.
-    cells.stepped_block_reuses.fetch_add(1, std::memory_order_relaxed);
+    detail::bump(counts.stepped_block_reuses);
   }
   return block;
 }

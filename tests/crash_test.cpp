@@ -121,7 +121,7 @@ TEST(CrashInjection, UniversalObjectSurvivorsStayLinearizable) {
       Value total = 0;
     };
     [[nodiscard]] State initial() const { return {}; }
-    bool apply(State& s, const std::vector<Value>& op,
+    bool apply(State& s, std::span<const Value> op,
                std::vector<Value>& response) const {
       response = {s.total};
       s.total += op[1];

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,7 +32,7 @@ struct CollidingKeySpec {
     Value value = kBottom;
   };
   [[nodiscard]] State initial() const { return {}; }
-  bool apply(State& s, const std::vector<Value>& op,
+  bool apply(State& s, std::span<const Value> op,
              std::vector<Value>& response) const {
     if (op[0] == 0) {
       s.value = op[1];
@@ -54,8 +55,39 @@ struct HonestKeySpec {
     Value value = kBottom;
   };
   [[nodiscard]] State initial() const { return {}; }
-  bool apply(State& s, const std::vector<Value>& op,
+  bool apply(State& s, std::span<const Value> op,
              std::vector<Value>& response) const {
+    if (op[0] == 0) {
+      s.value = op[1];
+      response = {};
+    } else {
+      response = {s.value};
+    }
+    return true;
+  }
+  [[nodiscard]] std::string key(const State& s) const {
+    return to_string(s.value);
+  }
+};
+
+/// The register spec again, with a twist: when `inner` is set, every
+/// `apply` first checks `*inner` against a plain NestingSpec and records
+/// the verdict. The nested check runs while the outer one is mid-search, so
+/// the two must not share the checker's per-thread scratch.
+struct NestingSpec {
+  const History* inner = nullptr;
+  std::vector<bool>* inner_verdicts = nullptr;
+
+  struct State {
+    Value value = kBottom;
+  };
+  [[nodiscard]] State initial() const { return {}; }
+  bool apply(State& s, std::span<const Value> op,
+             std::vector<Value>& response) const {
+    if (inner != nullptr) {
+      inner_verdicts->push_back(
+          check_linearizable(NestingSpec{}, inner->entries()).linearizable);
+    }
     if (op[0] == 0) {
       s.value = op[1];
       response = {};
@@ -171,44 +203,127 @@ TEST(LinearizabilityMemo, WrnSpecUsesHashHookAndAgrees) {
   }
 }
 
+/// A random register history of `ops` operations, at most `max_open` of
+/// them open at once; of those still open at the end, about half stay
+/// pending. Reads return the last completed write, except that one in
+/// `garbage_one_in` (none when 0) returns a random value instead, so both
+/// verdicts occur.
+History random_register_history(std::mt19937& rng, std::size_t ops,
+                                std::size_t max_open,
+                                unsigned garbage_one_in) {
+  History h;
+  std::vector<std::size_t> open;
+  Value last_written = kBottom;
+  const auto respond = [&](std::size_t pick) {
+    const std::size_t handle = open[pick];
+    open.erase(open.begin() + static_cast<std::ptrdiff_t>(pick));
+    const auto& entry = h.entries()[handle];
+    if (entry.op[0] == 0) {
+      h.respond(handle, {});
+      last_written = entry.op[1];
+    } else {
+      const bool garbage = garbage_one_in != 0 && rng() % garbage_one_in == 0;
+      const Value resp = garbage ? static_cast<Value>(rng() % 3) : last_written;
+      h.respond(handle, {resp});
+    }
+  };
+  while (h.entries().size() < ops) {
+    if (!open.empty() && (open.size() == max_open || rng() % 2 == 0)) {
+      respond(rng() % open.size());
+    } else {
+      const int pid = static_cast<int>(rng() % 3);
+      if (rng() % 2 == 0) {
+        open.push_back(h.invoke(pid, {0, static_cast<Value>(rng() % 3)}));
+      } else {
+        open.push_back(h.invoke(pid, {1}));
+      }
+    }
+  }
+  for (std::size_t i = open.size(); i-- > 0;) {
+    if (rng() % 2 == 0) {
+      respond(i);
+    }
+  }
+  return h;
+}
+
 TEST(LinearizabilityMemo, RandomizedOverlappingHistoriesAgree) {
   // Seeded sweep of random overlapping register histories, including
   // pending operations. Every history must produce identical verdict and
-  // order under both memos — this is the collision hunt.
+  // order under both memos — this is the collision hunt. Every 50th
+  // history has exactly 64 operations, the bitmask boundary, with at most
+  // four open at once so its search stays small.
   std::mt19937 rng(20160725);  // PODC'16 vintage
-  for (int trial = 0; trial < 200; ++trial) {
-    History h;
-    std::vector<std::size_t> open;
-    Value last_written = kBottom;
-    const int ops = 4 + static_cast<int>(rng() % 6);
-    for (int i = 0; i < ops; ++i) {
-      if (!open.empty() && rng() % 2 == 0) {
-        const std::size_t pick = rng() % open.size();
-        const std::size_t handle = open[pick];
-        open.erase(open.begin() + static_cast<std::ptrdiff_t>(pick));
-        const auto& entry = h.entries()[handle];
-        if (entry.op[0] == 0) {
-          h.respond(handle, {});
-          last_written = entry.op[1];
-        } else {
-          // Usually respond with something plausible, sometimes garbage so
-          // non-linearizable verdicts are exercised too.
-          const Value resp = (rng() % 4 == 0)
-                                 ? static_cast<Value>(rng() % 3)
-                                 : last_written;
-          h.respond(handle, {resp});
-        }
-      } else {
-        const int pid = static_cast<int>(rng() % 3);
-        if (rng() % 2 == 0) {
-          open.push_back(h.invoke(pid, {0, static_cast<Value>(rng() % 3)}));
-        } else {
-          open.push_back(h.invoke(pid, {1}));
-        }
-      }
+  int verdicts[2][2] = {};  // [boundary][linearizable]
+  int pending = 0;
+  for (int trial = 0; trial < 5'000; ++trial) {
+    const bool boundary = trial % 50 == 49;
+    // Half the boundary histories have no garbage reads, so both verdicts
+    // occur at 64 operations too.
+    const unsigned garbage = boundary ? (trial % 100 == 99 ? 0 : 32) : 4;
+    const History h =
+        boundary ? random_register_history(rng, 64, 4, garbage)
+                 : random_register_history(rng, 2 + rng() % 6, 64, garbage);
+    if (boundary) {
+      ASSERT_EQ(h.entries().size(), 64u);
     }
     expect_memo_agreement(HonestKeySpec{}, h);
     expect_memo_agreement(CollidingKeySpec{}, h);
+    const bool linearizable =
+        check_linearizable(HonestKeySpec{}, h.entries()).linearizable;
+    ++verdicts[boundary ? 1 : 0][linearizable ? 1 : 0];
+    pending += h.completed() < h.entries().size() ? 1 : 0;
+  }
+  // Sanity: short and boundary histories both got both verdicts, and
+  // pending operations were exercised.
+  for (const auto& by_verdict : verdicts) {
+    EXPECT_GT(by_verdict[0], 0);
+    EXPECT_GT(by_verdict[1], 0);
+  }
+  EXPECT_GT(pending, 0);
+}
+
+TEST(LinearizabilityMemo, NestedCheckFromApplyKeepsBothVerdicts) {
+  // Outer histories of both verdicts, each checked while every apply runs
+  // a nested check of an inner history of the other verdict. Both levels
+  // must answer as they do alone, outer order included.
+  History linearizable;
+  {
+    const auto w0 = linearizable.invoke(0, {0, 5});
+    const auto r0 = linearizable.invoke(1, {1});
+    linearizable.respond(r0, {kBottom});
+    linearizable.respond(w0, {});
+    const auto w1 = linearizable.invoke(0, {0, 7});
+    const auto r1 = linearizable.invoke(1, {1});
+    linearizable.respond(w1, {});
+    linearizable.respond(r1, {7});
+  }
+  History stale;
+  {
+    const auto w = stale.invoke(0, {0, 5});
+    const auto r = stale.invoke(1, {1});
+    stale.respond(w, {});
+    const auto r2 = stale.invoke(1, {1});
+    stale.respond(r2, {5});
+    stale.respond(r, {kBottom});
+    const auto r3 = stale.invoke(2, {1});
+    stale.respond(r3, {kBottom});  // stale after a read of 5 completed
+  }
+  for (const bool outer_ok : {true, false}) {
+    const History& outer = outer_ok ? linearizable : stale;
+    const History& inner = outer_ok ? stale : linearizable;
+    const LinearizationResult alone =
+        check_linearizable(NestingSpec{}, outer.entries());
+    ASSERT_EQ(alone.linearizable, outer_ok);
+    std::vector<bool> inner_verdicts;
+    const LinearizationResult nested = check_linearizable(
+        NestingSpec{&inner, &inner_verdicts}, outer.entries());
+    EXPECT_EQ(nested.linearizable, outer_ok);
+    EXPECT_EQ(nested.order, alone.order);
+    ASSERT_FALSE(inner_verdicts.empty());
+    for (const bool verdict : inner_verdicts) {
+      EXPECT_EQ(verdict, !outer_ok);
+    }
   }
 }
 

@@ -18,7 +18,7 @@ struct RegisterSpec {
     Value value = kBottom;
   };
   [[nodiscard]] State initial() const { return {}; }
-  bool apply(State& s, const std::vector<Value>& op,
+  bool apply(State& s, std::span<const Value> op,
              std::vector<Value>& response) const {
     if (op[0] == 0) {
       s.value = op[1];

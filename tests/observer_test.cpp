@@ -593,5 +593,74 @@ TEST(TraceJsonl, ParserRejectsGarbage) {
                SimError);
 }
 
+std::string invoke_line(const std::string& handle, const std::string& op,
+                        const std::string& t = "0") {
+  return "{\"ev\":\"invoke\",\"pid\":0,\"handle\":" + handle +
+         ",\"t\":" + t + ",\"op\":" + op + "}\n";
+}
+
+std::string respond_line(const std::string& handle, const std::string& t) {
+  return "{\"ev\":\"respond\",\"pid\":0,\"handle\":" + handle +
+         ",\"t\":" + t + ",\"resp\":[7]}\n";
+}
+
+TEST(TraceJsonl, ParserRejectsHandlesOutOfRange) {
+  // A handle indexes its source History, so it is never negative and never
+  // reaches the number of invoke events read so far.
+  EXPECT_THROW(parse_trace_jsonl(invoke_line("-1", "[0,1]")), SimError);
+  EXPECT_THROW(parse_trace_jsonl(invoke_line("1", "[0,1]")), SimError);
+  EXPECT_THROW(parse_trace_jsonl(invoke_line("100000000", "[0,1]")), SimError);
+  EXPECT_THROW(parse_trace_jsonl(invoke_line("1000000000000", "[0,1]")),
+               SimError);
+  EXPECT_THROW(parse_trace_jsonl(invoke_line("0", "[0,1]") +
+                                 "{\"ev\":\"respond\",\"pid\":0,"
+                                 "\"handle\":-1,\"t\":1,\"resp\":[]}"),
+               SimError);
+  // Handles of two interleaved source histories stay in range.
+  const ParsedTrace parsed = parse_trace_jsonl(
+      invoke_line("0", "[0,1]") + invoke_line("0", "[1,2]") +
+      invoke_line("1", "[2,3]"));
+  EXPECT_EQ(parsed.history.entries().size(), 3u);
+}
+
+TEST(TraceJsonl, ParserRejectsTimesOutOfRange) {
+  // A History's clock ticks once per invoke and respond, so a time is never
+  // negative, never reaches the number of those events read so far, and a
+  // response comes after its invocation. render_history lays a lane out by
+  // these times, so one out of range would index outside it.
+  EXPECT_THROW(parse_trace_jsonl(invoke_line("0", "[0,1]", "-40")), SimError);
+  EXPECT_THROW(parse_trace_jsonl(invoke_line("0", "[0,1]", "1")), SimError);
+  EXPECT_THROW(
+      parse_trace_jsonl(invoke_line("0", "[0,1]") + respond_line("0", "-30")),
+      SimError);
+  EXPECT_THROW(parse_trace_jsonl(invoke_line("0", "[0,1]") +
+                                 respond_line("0", "100000000000")),
+               SimError);
+  EXPECT_THROW(parse_trace_jsonl(invoke_line("0", "[0,1]") +
+                                 invoke_line("1", "[1,1]", "1") +
+                                 respond_line("1", "1")),
+               SimError);
+  const ParsedTrace parsed =
+      parse_trace_jsonl(invoke_line("0", "[0,1]") + respond_line("0", "1"));
+  ASSERT_EQ(parsed.history.entries().size(), 1u);
+  EXPECT_EQ(parsed.history.entries()[0].responded_at, 1);
+}
+
+TEST(TraceJsonl, ParserRejectsTuplesAboveCapacity) {
+  EXPECT_EQ(parse_trace_jsonl(invoke_line("0", "[1,2,3,4]"))
+                .history.entries()[0]
+                .op.size(),
+            ValueTuple::kCapacity);
+  EXPECT_THROW(parse_trace_jsonl(invoke_line("0", "[1,2,3,4,5]")), SimError);
+  EXPECT_THROW(parse_trace_jsonl(invoke_line("0", "[0,1]") +
+                                 "{\"ev\":\"respond\",\"pid\":0,"
+                                 "\"handle\":0,\"t\":1,"
+                                 "\"resp\":[1,2,3,4,5]}"),
+               SimError);
+  History history;
+  EXPECT_THROW(history.invoke(0, {1, 2, 3, 4, 5}), SimError);
+  EXPECT_TRUE(history.entries().empty());
+}
+
 }  // namespace
 }  // namespace subc

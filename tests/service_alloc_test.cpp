@@ -1,9 +1,12 @@
-// The sharded service's serve path allocates nothing once warm: after the
-// shard's blocks, history buffers and delay lanes have grown to the
-// workload's shapes, opening, serving, deciding and reclaiming an instance
-// costs the worker thread no heap allocation. This binary replaces the
-// global operator new with one that counts allocations per thread; the
-// decide callback (which runs on the worker) reads the worker's count.
+// The hot paths allocate nothing once warm. The sharded service's serve
+// path: after the shard's blocks, history entry lists and delay lanes have
+// grown to the workload's shapes, opening, serving, deciding and reclaiming
+// an instance costs the worker thread no heap allocation. The checker: a
+// warm check_linearizable allocates the same few times whatever the
+// history's length. A History cleared and refilled allocates nothing. This
+// binary replaces the global operator new with one that counts allocations
+// per thread; the decide callback (which runs on the worker) reads the
+// worker's count.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,7 +14,11 @@
 #include <cstdlib>
 #include <new>
 #include <thread>
+#include <vector>
 
+#include "subc/checking/linearizability.hpp"
+#include "subc/objects/wrn.hpp"
+#include "subc/runtime/history.hpp"
 #include "subc/runtime/service.hpp"
 
 namespace {
@@ -146,6 +153,58 @@ TEST(ServiceAllocations, WarmServePathAllocatesNothing) {
   EXPECT_EQ(st.timed_out, 0);
   EXPECT_LE(st.peak_live, kBatch);
   EXPECT_EQ(st.blocks_carved, st.peak_live);
+}
+
+/// k overlapping 1sWRN_k ops whose responses fit only the reverse order
+/// k-1, ..., 0, so the DFS tries and rejects most candidates at every depth.
+History reverse_order_wrn_history(int k) {
+  History h;
+  std::vector<std::size_t> handles;
+  for (int i = 0; i < k; ++i) {
+    handles.push_back(h.invoke(i, {i, 100 + i}));
+  }
+  for (int i = 0; i < k; ++i) {
+    h.respond(handles[static_cast<std::size_t>(i)],
+              {i == k - 1 ? kBottom : static_cast<Value>(100 + i + 1)});
+  }
+  return h;
+}
+
+TEST(CheckerAllocations, WarmCheckAllocatesTheSameFewTimesAtEveryLength) {
+  std::vector<std::int64_t> counts;
+  for (const int k : {3, 6, 12}) {
+    const OneShotWrnSpec spec{k};
+    const History h = reverse_order_wrn_history(k);
+    ASSERT_TRUE(check_linearizable(spec, h.entries()).linearizable);  // warm
+    const std::int64_t before = tl_allocations;
+    const LinearizationResult r = check_linearizable(spec, h.entries());
+    counts.push_back(tl_allocations - before);
+    ASSERT_TRUE(r.linearizable) << k;
+    EXPECT_EQ(r.order.size(), static_cast<std::size_t>(k));
+    EXPECT_EQ(r.order.front(), static_cast<std::size_t>(k - 1));
+  }
+  // The spec's initial state (two vectors) and the result's order.
+  EXPECT_LE(counts[0], 3);
+  EXPECT_EQ(counts[1], counts[0]);
+  EXPECT_EQ(counts[2], counts[0]);
+}
+
+TEST(HistoryAllocations, ClearedAndRefilledHistoryAllocatesNothing) {
+  History h;
+  const auto fill = [&h] {
+    for (int p = 0; p < 8; ++p) {
+      const std::size_t handle = h.invoke(p, {p, 100 + p});
+      h.respond(handle, {kBottom});
+    }
+  };
+  fill();
+  const std::int64_t before = tl_allocations;
+  for (int round = 0; round < 1'000; ++round) {
+    h.clear();
+    fill();
+  }
+  EXPECT_EQ(tl_allocations - before, 0);
+  EXPECT_EQ(h.entries().size(), 8u);
 }
 
 }  // namespace

@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
+#include <thread>
+#include <vector>
 
 #include "subc/algorithms/stepped_bodies.hpp"
 #include "subc/algorithms/wrn_from_sse.hpp"
@@ -285,6 +288,70 @@ TEST(SteppedEngine, SteppedStateBlocksAreArenaCarved) {
   EXPECT_EQ(after.stepped_blocks_carved - before.stepped_blocks_carved, 4u);
   EXPECT_GE(after.stepped_block_bytes - before.stepped_block_bytes,
             4 * sizeof(SteppedRegisterReader));
+}
+
+// Every thread counts its carves into cells of its own; alloc_counters()
+// must still see each of them exactly once, also after the threads exited.
+TEST(SteppedEngine, CarveCountersSumOverExitedThreads) {
+  constexpr int kThreads = 4;
+  constexpr int kWorldsPerThread = 50;
+  constexpr int kProcs = 3;
+  const AllocCounters before = alloc_counters();
+  {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([] {
+        for (int w = 0; w < kWorldsPerThread; ++w) {
+          Runtime rt;
+          Register<> reg(0);
+          for (int p = 0; p < kProcs; ++p) {
+            rt.add_stepped(SteppedRegisterReader{&reg, 2});
+          }
+          RoundRobinDriver driver;
+          rt.run(driver);
+        }
+      });
+    }
+    for (std::thread& t : threads) {
+      t.join();
+    }
+  }
+  const AllocCounters after = alloc_counters();
+  const std::uint64_t blocks = kThreads * kWorldsPerThread * kProcs;
+  EXPECT_EQ(after.stepped_blocks_carved - before.stepped_blocks_carved,
+            blocks);
+  EXPECT_EQ(after.stepped_block_bytes - before.stepped_block_bytes,
+            blocks * sizeof(SteppedRegisterReader));
+}
+
+TEST(SteppedEngine, CarveCountersSumOverParallelSearchWorkers) {
+  // The mixed 4x4 world: 2,520 executions, enough that the workers, not
+  // just the walker, build most of the worlds.
+  constexpr int kProcs = 4;
+  std::atomic<std::uint64_t> worlds{0};
+  const ExecutionBody body = [&worlds](ScheduleDriver& driver) {
+    worlds.fetch_add(1, std::memory_order_relaxed);
+    Runtime rt;
+    Register<> shared(0);
+    RegisterArray<> own(kProcs, 0);
+    for (int p = 0; p < kProcs; ++p) {
+      rt.add_stepped(SteppedMixedWriter{&own[p], &shared, p, 4});
+    }
+    rt.run(driver);
+  };
+  Explorer::Options opts;
+  opts.threads = 4;
+  const AllocCounters before = alloc_counters();
+  const Explorer::Result result = Explorer::explore(body, opts);
+  const AllocCounters after = alloc_counters();
+  ASSERT_TRUE(result.complete);
+  ASSERT_TRUE(result.ok());
+  const std::uint64_t blocks = worlds.load() * kProcs;
+  EXPECT_GT(blocks, 0u);
+  EXPECT_EQ(after.stepped_blocks_carved - before.stepped_blocks_carved,
+            blocks);
+  EXPECT_EQ(after.stepped_block_bytes - before.stepped_block_bytes,
+            blocks * sizeof(SteppedMixedWriter));
 }
 
 }  // namespace

@@ -21,7 +21,7 @@ struct CounterSpec {
     Value total = 0;
   };
   [[nodiscard]] State initial() const { return {}; }
-  bool apply(State& s, const std::vector<Value>& op,
+  bool apply(State& s, std::span<const Value> op,
              std::vector<Value>& response) const {
     if (op[0] == 0) {
       response = {s.total};
@@ -43,7 +43,7 @@ struct QueueSpec {
     std::vector<Value> items;
   };
   [[nodiscard]] State initial() const { return {}; }
-  bool apply(State& s, const std::vector<Value>& op,
+  bool apply(State& s, std::span<const Value> op,
              std::vector<Value>& response) const {
     if (op[0] == 0) {
       s.items.push_back(op[1]);
