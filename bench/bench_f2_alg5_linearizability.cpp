@@ -165,10 +165,8 @@ int main() {
   subc_bench::Json crash_cell;
   crash_cell.set("scenario", "doorway(k=3)");
   subc_bench::set_rate_fields(crash_cell, crash_result.executions, crash_ms);
-  subc_bench::set_crash_fields(crash_cell, crash_opts.max_crashes,
-                               crash_result.crashed_executions,
-                               crash_result.stuck_executions);
-  crash_cell.set("complete", crash_result.complete)
+  crash_cell.set("max_crashes", crash_opts.max_crashes)
+      .set("complete", crash_result.complete)
       .set("ok", crash_result.ok());
 
   subc_bench::Json out;
@@ -177,16 +175,9 @@ int main() {
       .set("rows", rows)
       .set("crash_exploration", crash_cell)
       .set("pass", ok);
-  // The randomized sweeps above never drive the exhaustive explorer; the
-  // crash cell's reduced tallies are what this artifact carries.
-  subc_bench::set_reduction_fields(out, crash_result.reduced_subtrees,
-                                   crash_result.executions);
-  subc_bench::set_policy_fields(out);
-  subc_bench::set_crash_fields(out, crash_opts.max_crashes,
-                               crash_result.crashed_executions,
-                               crash_result.stuck_executions);
-  subc_bench::set_recovery_fields(out, crash_opts.max_recoveries,
-                                  crash_result.recovered_executions);
+  // The randomized sweeps above read no Explorer::Result: the crash cell's
+  // search is the artifact's only one.
+  subc_bench::set_search_tally(out, crash_result);
   subc_bench::write_json("BENCH_F2.json", out);
   std::printf("\nF2 %s\n", ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;

@@ -349,8 +349,7 @@ void write_results_json() {
   const subc_bench::Stopwatch stepped_parallel_sw;
   const auto stepped_parallel = Explorer::explore(stepped_body, opts);
   const double stepped_parallel_ms = stepped_parallel_sw.ms();
-  // One reduced pass over the same tree for the reduction telemetry all
-  // BENCH_<ID>.json files carry.
+  // One reduced pass over the same tree: what the default search runs.
   Explorer::Options red = opts;
   red.threads = 1;
   red.reduction = Reduction::kSleepSets;
@@ -396,11 +395,12 @@ void write_results_json() {
       .set("stepped_speedup_vs_fiber",
            serial_rate > 0 ? stepped_serial_rate / serial_rate : 0.0)
       .set("per_step_ns", measure_per_step_ns());
-  subc_bench::set_reduction_fields(out, reduced.reduced_subtrees,
-                                   reduced.executions);
-  subc_bench::set_policy_fields(out);
-  subc_bench::set_crash_fields(out, 0, 0, 0);
-  subc_bench::set_recovery_fields(out, 0, 0);
+  Explorer::Tally searched = serial;
+  for (const Explorer::Tally& t :
+       {stepped_serial, parallel, stepped_parallel, reduced}) {
+    searched += t;
+  }
+  subc_bench::set_search_tally(out, searched);
   subc_bench::write_json("BENCH_F4.json", out);
 }
 

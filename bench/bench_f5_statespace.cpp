@@ -39,6 +39,7 @@
 #include "subc/objects/register.hpp"
 #include "subc/objects/wrn.hpp"
 #include "subc/runtime/explorer.hpp"
+#include "subc/runtime/observer.hpp"
 #include "subc/runtime/runtime.hpp"
 
 namespace {
@@ -121,6 +122,7 @@ struct CellResult {
   double unreduced_ms = 0;
   double reduced_ms = 0;
   double parallel_ms = 0;
+  Explorer::Tally searched;  // summed over the cell's three searches
 };
 
 CellResult run_cell(World world, int procs, int steps, int threads) {
@@ -142,6 +144,7 @@ CellResult run_cell(World world, int procs, int steps, int threads) {
     cell.executions_unreduced = unreduced.executions;
     cell.complete = unreduced.complete;
     ok_unreduced = unreduced.ok();
+    cell.searched += unreduced;
   }
   {
     const subc_bench::Stopwatch sw;
@@ -151,6 +154,7 @@ CellResult run_cell(World world, int procs, int steps, int threads) {
     cell.reduced_subtrees = reduced.reduced_subtrees;
     ok_reduced = reduced.ok();
     complete_reduced = reduced.complete;
+    cell.searched += reduced;
   }
   {
     Explorer::Options popts = opts;
@@ -162,6 +166,7 @@ CellResult run_cell(World world, int procs, int steps, int threads) {
                         parallel.reduced_subtrees == cell.reduced_subtrees;
     ok_parallel = parallel.ok();
     complete_parallel = parallel.complete;
+    cell.searched += parallel;
   }
   cell.verdict_match = ok_unreduced == ok_reduced &&
                        ok_reduced == ok_parallel &&
@@ -185,6 +190,7 @@ struct StatefulCell {
   double sleep_ms = 0;
   double stateful_ms = 0;
   bool ok = false;  // verdicts + completeness agree across all six runs
+  Explorer::Tally searched;  // summed over the six searches
 };
 
 StatefulCell run_stateful_cell(World world, int procs, int steps,
@@ -198,6 +204,7 @@ StatefulCell run_stateful_cell(World world, int procs, int steps,
   bool ok0 = false;
   bool complete0 = false;
   const auto fold = [&](const Explorer::Result& r) {
+    cell.searched += r;
     if (!have_first) {
       ok0 = r.ok();
       complete0 = r.complete;
@@ -307,7 +314,7 @@ int main() {
   double parallel_total_ms = 0;
   long long total_executions_unreduced = 0;
   long long total_executions_reduced = 0;
-  long long total_reduced_subtrees = 0;
+  Explorer::Tally searched;  // every timed search below
   int cells_at_2x = 0;
   for (const auto& [world, procs, steps] : cells) {
     const CellResult cell = run_cell(world, procs, steps, threads);
@@ -329,7 +336,7 @@ int main() {
     parallel_total_ms += cell.parallel_ms;
     total_executions_unreduced += cell.executions_unreduced;
     total_executions_reduced += cell.executions_reduced;
-    total_reduced_subtrees += cell.reduced_subtrees;
+    searched += cell.searched;
     std::printf("%6s %6d %6d %12lld %12lld %7.1fx %9.1f %9.1f %9.1f %6s\n",
                 world_name(world), procs, steps, cell.executions_unreduced,
                 cell.executions_reduced, factor, cell.unreduced_ms,
@@ -415,6 +422,7 @@ int main() {
   const auto headline = Explorer::explore(headline_body, hopts);
   const double headline_ms = headline_sw.ms();
   const auto ticker_snap = ticker.snapshot();
+  searched += headline;
   // Measured on this cell immediately before the allocation-free-hot-path
   // overhaul landed; kept so the artifact records the before/after pair.
   const double pre_overhaul_rate = 110310.0;
@@ -449,6 +457,7 @@ int main() {
   const subc_bench::Stopwatch stepped_headline_sw;
   const auto stepped_headline = Explorer::explore(stepped_headline_body, hopts);
   const double stepped_headline_ms = stepped_headline_sw.ms();
+  searched += stepped_headline;
   const double stepped_headline_rate =
       stepped_headline_ms > 0
           ? 1000.0 * static_cast<double>(stepped_headline.executions) /
@@ -495,6 +504,8 @@ int main() {
   Explorer::Options crash_popts = crash_opts;
   crash_popts.threads = threads;
   const auto crash_parallel = Explorer::explore(crash_body, crash_popts);
+  searched += crash_serial;
+  searched += crash_parallel;
   const bool crash_match =
       crash_serial.executions == crash_parallel.executions &&
       crash_serial.crashed_executions == crash_parallel.crashed_executions &&
@@ -512,10 +523,9 @@ int main() {
   subc_bench::Json crash_cell;
   crash_cell.set("world", "mixed").set("procs", 3).set("steps", 2);
   subc_bench::set_rate_fields(crash_cell, crash_serial.executions, crash_ms);
-  subc_bench::set_crash_fields(crash_cell, crash_opts.max_crashes,
-                               crash_serial.crashed_executions,
-                               crash_serial.stuck_executions);
-  crash_cell.set("counts_match", crash_match);
+  crash_cell.set("max_crashes", crash_opts.max_crashes)
+      .set("counts_match", crash_match);
+  subc_bench::set_search_tally(crash_cell, crash_serial);
 
   // Series 3 — stateful exploration (Explorer::Options::stateful): every
   // cell explored at {none, sleep, sleep+stateful} × threads {1, 4}. On
@@ -534,7 +544,6 @@ int main() {
                                  {World::kReads, 3, 3}};
   std::vector<subc_bench::Json> series3;
   double best_stateful_factor = 0.0;
-  long long total_stateful_cuts = 0;
   StatefulCell headline_stateful_cell;  // mixed 3x4: the headline grid point
   for (const auto& [world, procs, steps] : stateful_cells) {
     const StatefulCell cell =
@@ -551,7 +560,7 @@ int main() {
     if (world == World::kMixed && procs == 3 && steps == 4) {
       headline_stateful_cell = cell;
     }
-    total_stateful_cuts += cell.stateful_cuts;
+    searched += cell.searched;
     std::printf("%6s %6d %6d %12lld %12lld %12lld %8lld %7.1fx\n",
                 world_name(world), procs, steps, cell.execs_none,
                 cell.execs_sleep, cell.execs_stateful, cell.stateful_cuts,
@@ -603,6 +612,8 @@ int main() {
   const double st_ms = st_sw.ms();
   const auto st_stepped =
       Explorer::explore(stepped_grid_body(World::kMixed, 3, 4), st_opts);
+  searched += st_fiber;
+  searched += st_stepped;
   const bool st_engines_match =
       st_stepped.executions == st_fiber.executions &&
       st_stepped.stateful_cuts == st_fiber.stateful_cuts;
@@ -619,9 +630,7 @@ int main() {
   subc_bench::Json stateful_headline;
   stateful_headline.set("world", "mixed").set("procs", 3).set("steps", 4);
   subc_bench::set_rate_fields(stateful_headline, st_fiber.executions, st_ms);
-  subc_bench::set_stateful_fields(stateful_headline, st_fiber.stateful_cuts,
-                                  st_fiber.stateful_states,
-                                  kStatefulCapacity);
+  subc_bench::set_search_tally(stateful_headline, st_fiber);
   stateful_headline
       .set("executions_sleep_only", headline_stateful_cell.execs_sleep)
       .set("stateful_vs_sleep_factor",
@@ -629,6 +638,7 @@ int main() {
                ? static_cast<double>(headline_stateful_cell.execs_sleep) /
                      static_cast<double>(st_fiber.executions)
                : 0.0)
+      .set("stateful_states", st_fiber.stateful_states)
       .set("best_mixed_factor", best_stateful_factor)
       .set("stepped_executions_match", st_engines_match);
 
@@ -655,17 +665,7 @@ int main() {
       .set("series2", series2)
       .set("series3_stateful", series3)
       .set("pass", ok);
-  subc_bench::set_reduction_fields(out, total_reduced_subtrees,
-                                   total_executions_reduced);
-  subc_bench::set_stateful_fields(out, total_stateful_cuts,
-                                  st_fiber.stateful_states,
-                                  kStatefulCapacity);
-  subc_bench::set_policy_fields(out);
-  subc_bench::set_crash_fields(out, crash_opts.max_crashes,
-                               crash_serial.crashed_executions,
-                               crash_serial.stuck_executions);
-  subc_bench::set_recovery_fields(out, crash_opts.max_recoveries,
-                                  crash_serial.recovered_executions);
+  subc_bench::set_search_tally(out, searched);
   subc_bench::write_json("BENCH_F5.json", out);
 
   std::printf("\nF5 %s\n", ok ? "PASS" : "FAIL");

@@ -196,12 +196,6 @@ int main() {
   subc_bench::Json out;
   out.set("bench", "F6").set("threads", threads).set("rows", g_rows).set(
       "pass", true);
-  // This bench never drives the exhaustive explorer; stamp the neutral
-  // reduction telemetry every BENCH_<ID>.json carries.
-  subc_bench::set_reduction_fields(out, 0, 0);
-  subc_bench::set_policy_fields(out);
-  subc_bench::set_crash_fields(out, 0, 0, 0);
-  subc_bench::set_recovery_fields(out, 0, 0);
   subc_bench::write_json("BENCH_F6.json", out);
   std::printf("\nF6 PASS\n");
   return 0;

@@ -655,12 +655,6 @@ int main(int argc, char** argv) {
   out.set("alloc_delta_legacy", subc_bench::alloc_counter_cell(legacy_delta))
       .set("alloc_delta_service",
            subc_bench::alloc_counter_cell(service_delta));
-  // The legacy stage never drives the exhaustive explorer; stamp the
-  // neutral reduction telemetry every BENCH_<ID>.json carries.
-  subc_bench::set_reduction_fields(out, 0, 0);
-  subc_bench::set_policy_fields(out);
-  subc_bench::set_crash_fields(out, 0, 0, 0);
-  subc_bench::set_recovery_fields(out, 0, 0);
   subc_bench::write_json("BENCH_F8.json", out);
   std::printf("\nF8 %s\n", ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;

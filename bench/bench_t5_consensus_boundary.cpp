@@ -50,8 +50,7 @@ int main() {
   bool ok = true;
   std::vector<subc_bench::Json> boundary_rows;
   const subc_bench::Stopwatch total_sw;
-  std::int64_t total_executions = 0;
-  std::int64_t total_reduced = 0;
+  Explorer::Tally checked;  // the searches behind every check below
 
   for (int k = 2; k <= 8; ++k) {
     subc_bench::Json row;
@@ -61,8 +60,7 @@ int main() {
           wrn_attempt(2), {{0, 1}, {1, 0}, {7, 7}}, 500'000, threads);
       const bool pass = check.ok() && check.exhaustive;
       ok = ok && pass;
-      total_executions += check.executions;
-      total_reduced += check.reduced_subtrees;
+      checked += check;
       std::printf("%4d  %-12s  solves 2-consensus; %lld executions, "
                   "exhaustive\n", k, pass ? "SWAP (=2)" : "FAIL",
                   static_cast<long long>(check.executions));
@@ -155,8 +153,7 @@ int main() {
     const auto check = check_consensus_algorithm(
         control.body, {{0, 1}, {1, 0}}, 500'000, threads);
     ok = ok && check.ok();
-    total_executions += check.executions;
-    total_reduced += check.reduced_subtrees;
+    checked += check;
     std::printf("  %-9s %s (%lld executions)\n", control.name,
                 check.ok() ? "ok" : "FAIL",
                 static_cast<long long>(check.executions));
@@ -167,18 +164,15 @@ int main() {
   out.set("bench", "T5")
       .set("threads", threads)
       .set("total_ms", total_ms)
-      .set("checked_executions", total_executions)
+      .set("checked_executions", checked.executions)
       .set("executions_per_sec",
-           total_ms > 0 ? 1000.0 * static_cast<double>(total_executions) /
+           total_ms > 0 ? 1000.0 * static_cast<double>(checked.executions) /
                               total_ms
                         : 0.0)
       .set("boundary", boundary_rows)
       .set("synthesis", synthesis_rows)
       .set("pass", ok);
-  subc_bench::set_reduction_fields(out, total_reduced, total_executions);
-  subc_bench::set_policy_fields(out);
-  subc_bench::set_crash_fields(out, 0, 0, 0);
-  subc_bench::set_recovery_fields(out, 0, 0);
+  subc_bench::set_search_tally(out, checked);
   subc_bench::write_json("BENCH_T5.json", out);
 
   std::printf("\nT5 %s\n", ok ? "PASS" : "FAIL");

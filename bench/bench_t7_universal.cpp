@@ -158,12 +158,6 @@ int main() {
       .set("rows", rows)
       .set("wrn3_universal_steps_per_op", universal_steps_per_op)
       .set("pass", ok);
-  // This bench never drives the exhaustive explorer; stamp the neutral
-  // reduction telemetry every BENCH_<ID>.json carries.
-  subc_bench::set_reduction_fields(out, 0, 0);
-  subc_bench::set_policy_fields(out);
-  subc_bench::set_crash_fields(out, 0, 0, 0);
-  subc_bench::set_recovery_fields(out, 0, 0);
   subc_bench::write_json("BENCH_T7.json", out);
 
   std::printf("\nT7 %s\n", ok ? "PASS" : "FAIL");

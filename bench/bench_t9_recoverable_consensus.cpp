@@ -144,11 +144,7 @@ int main() {
   bool ok = true;
   std::vector<subc_bench::Json> rows;
   const subc_bench::Stopwatch total_sw;
-  std::int64_t total_executions = 0;
-  std::int64_t total_reduced = 0;
-  std::int64_t total_crashed = 0;
-  std::int64_t total_recovered = 0;
-  std::int64_t total_stuck = 0;
+  Explorer::Tally total;
 
   for (const GridRow& grid_row : kGrid) {
     for (const Durability durability :
@@ -173,11 +169,7 @@ int main() {
                 opts.shrink_violations = true;
                 const auto result = Explorer::explore(
                     grid_row.factory(durability, engine), opts);
-                total_executions += result.executions;
-                total_reduced += result.reduced_subtrees;
-                total_crashed += result.crashed_executions;
-                total_recovered += result.recovered_executions;
-                total_stuck += result.stuck_executions;
+                total += result;
                 CellOutcome cell;
                 cell.ok = result.ok();
                 cell.complete = result.complete;
@@ -266,11 +258,8 @@ int main() {
       .set("total_ms", total_ms)
       .set("grid", rows)
       .set("pass", ok);
-  subc_bench::set_rate_fields(out, total_executions, total_ms);
-  subc_bench::set_reduction_fields(out, total_reduced, total_executions);
-  subc_bench::set_policy_fields(out);
-  subc_bench::set_crash_fields(out, 1, total_crashed, total_stuck);
-  subc_bench::set_recovery_fields(out, 1, total_recovered);
+  subc_bench::set_rate_fields(out, total.executions, total_ms);
+  subc_bench::set_search_tally(out, total);
   subc_bench::write_json("BENCH_T9.json", out);
 
   std::printf("\nT9 %s\n", ok ? "PASS" : "FAIL");

@@ -1,6 +1,7 @@
 // Shared helpers for the experiment binaries: machine-readable JSON result
 // files (BENCH_<ID>.json, written into the current working directory so the
-// perf trajectory can be tracked across PRs), wall-clock timing, and the
+// perf trajectory can be tracked across PRs), the one cell that carries the
+// explorer tallies of the searches a bench ran, wall-clock timing, and the
 // worker-thread count used when benches drive the parallel explorer.
 //
 // The JSON emitter is deliberately tiny: flat objects whose values are
@@ -18,11 +19,8 @@
 #include <utility>
 #include <vector>
 
-#include "subc/objects/register.hpp"
 #include "subc/runtime/arena.hpp"
 #include "subc/runtime/explorer.hpp"
-#include "subc/runtime/observer.hpp"
-#include "subc/runtime/policy.hpp"
 
 namespace subc_bench {
 
@@ -126,90 +124,6 @@ class Json {
   std::vector<std::pair<std::string, std::string>> fields_;
 };
 
-/// Stamps the partial-order-reduction telemetry carried by every
-/// BENCH_<ID>.json: `reduced_subtrees` (how many redundant scheduling
-/// options sleep sets skipped across all explorations the bench ran) and
-/// `reduction_factor` ((executions + reduced_subtrees) / executions). Each
-/// skipped subtree holds at least one execution, so the factor lower-bounds
-/// the raw/reduced execution-count ratio. It is not the work saved: it falls
-/// as source sets visit fewer decisions. Benches that never drive the
-/// exhaustive explorer pass (0, 0) and report factor 1.
-inline void set_reduction_fields(Json& json, std::int64_t reduced_subtrees,
-                                 std::int64_t executions) {
-  json.set("reduced_subtrees", reduced_subtrees);
-  json.set("reduction_factor",
-           executions > 0
-               ? static_cast<double>(executions + reduced_subtrees) /
-                     static_cast<double>(executions)
-               : 1.0);
-}
-
-/// Per-policy smoke cells stamped into every BENCH_<ID>.json: one PCT run
-/// and one crash-adversary run over a small canonical world, each watched
-/// by an `AccessCounters` observer. The cells prove the adversarial policy
-/// layer and the observer plumbing are alive in the bench stage, and give
-/// every artifact a `schedule_policy` field plus observer-counter totals so
-/// the perf trajectory records which policies each binary was built against.
-inline void set_policy_fields(Json& json) {
-  const subc::ExecutionBody body = [](subc::ScheduleDriver& driver) {
-    subc::Runtime rt;
-    subc::RegisterArray<> regs(3, subc::kBottom);
-    for (int p = 0; p < 3; ++p) {
-      rt.add_process([&regs, p](subc::Context& ctx) {
-        regs[static_cast<std::size_t>(p)].write(ctx, p);
-        (void)regs[static_cast<std::size_t>((p + 1) % 3)].read(ctx);
-        (void)ctx.choose(2);
-      });
-    }
-    rt.run(driver);
-  };
-
-  std::vector<Json> cells;
-  std::int64_t steps = 0;
-  std::int64_t chooses = 0;
-  std::int64_t crashes = 0;
-
-  {
-    subc::AccessCounters counters;
-    subc::PctPolicy policy(/*seed=*/1, /*depth=*/2, /*horizon=*/64);
-    const auto violation = subc::run_one(body, policy, &counters);
-    Json cell;
-    cell.set("policy", "pct(seed=1,depth=2,horizon=64)");
-    cell.set("steps", counters.steps());
-    cell.set("chooses", counters.chooses());
-    cell.set("crashes", counters.crashes());
-    cell.set("ok", !violation.has_value());
-    cells.push_back(cell);
-    steps += counters.steps();
-    chooses += counters.chooses();
-    crashes += counters.crashes();
-  }
-  {
-    subc::AccessCounters counters;
-    subc::RandomDriver inner(/*seed=*/1);
-    subc::CrashAdversary adversary(
-        inner, {subc::CrashAdversary::CrashPoint{/*victim=*/1,
-                                                 /*after_steps=*/1}});
-    const auto violation = subc::run_one(body, adversary, &counters);
-    Json cell;
-    cell.set("policy", "crash_adversary(plan=[p1@1],inner=random(seed=1))");
-    cell.set("steps", counters.steps());
-    cell.set("chooses", counters.chooses());
-    cell.set("crashes", counters.crashes());
-    cell.set("ok", !violation.has_value());
-    cells.push_back(cell);
-    steps += counters.steps();
-    chooses += counters.chooses();
-    crashes += counters.crashes();
-  }
-
-  json.set("schedule_policy", "pct(depth=2,horizon=64)+crash_adversary(f=1)");
-  json.set("observer_steps", steps);
-  json.set("observer_chooses", chooses);
-  json.set("observer_crashes", crashes);
-  json.set("policy_smoke", cells);
-}
-
 /// Stamps a throughput cell: `executions` completed in `elapsed_ms` of wall
 /// clock → `executions_per_sec` (0 when nothing ran or no time passed).
 /// This is the headline number the perf trajectory tracks across PRs.
@@ -223,52 +137,21 @@ inline void set_rate_fields(Json& json, std::int64_t executions,
                : 0.0);
 }
 
-/// Stamps the crash-exploration telemetry carried by benches that drive the
-/// exhaustive explorer with crash branching (Explorer::Options::max_crashes):
-/// the crash budget, how many explored executions actually contained a
-/// crash, and how many were cut by the step-quota watchdog. Benches that
-/// explore crash-free pass (0, 0, 0) so every artifact carries the cells and
-/// the perf trajectory can tell "no crashes explored" from "field missing".
-inline void set_crash_fields(Json& json, int max_crashes,
-                             std::int64_t crashed_executions,
-                             std::int64_t stuck_executions) {
-  json.set("max_crashes", static_cast<std::int64_t>(max_crashes));
-  json.set("crashed_executions", crashed_executions);
-  json.set("stuck_executions", stuck_executions);
-}
-
-/// Stamps the crash-recovery telemetry (Explorer::Options::max_recoveries):
-/// the restart budget and how many explored executions actually restarted a
-/// crashed process. Benches that explore without recovery branching pass
-/// (0, 0) so every artifact carries the cells and the perf trajectory can
-/// tell "no restarts explored" from "field missing".
-inline void set_recovery_fields(Json& json, int max_recoveries,
-                                std::int64_t recovered_executions) {
-  json.set("max_recoveries", static_cast<std::int64_t>(max_recoveries));
-  json.set("recovered_executions", recovered_executions);
-}
-
-/// Stamps the stateful-exploration telemetry (Explorer::Options::stateful):
-/// the cuts taken, distinct states recorded, visited-set occupancy
-/// (states / capacity) and hit rate (cuts / (cuts + states) — the fraction
-/// of probes that found their fingerprint already present). Benches that
-/// explore stateless pass (0, 0, capacity) so every artifact carries the
-/// cells and the perf trajectory can tell "stateful off" from "field
-/// missing".
-inline void set_stateful_fields(Json& json, std::int64_t stateful_cuts,
-                                std::int64_t stateful_states,
-                                std::int64_t capacity) {
-  json.set("stateful_cuts", stateful_cuts);
-  json.set("stateful_states", stateful_states);
-  json.set("stateful_occupancy",
-           capacity > 0 ? static_cast<double>(stateful_states) /
-                              static_cast<double>(capacity)
-                        : 0.0);
-  json.set("stateful_hit_rate",
-           stateful_cuts + stateful_states > 0
-               ? static_cast<double>(stateful_cuts) /
-                     static_cast<double>(stateful_cuts + stateful_states)
-               : 0.0);
+/// Stamps `tally`, the summed Explorer::Tally of the exhaustive searches a
+/// bench (or one cell of it) ran and reads, as one nested `search` cell
+/// keyed by the Tally's member names. Benches whose work reads no
+/// Explorer::Result stamp none. Ratios derivable from the counts (reduction
+/// factor, hit rates) are left to the reader.
+inline void set_search_tally(Json& json, const subc::Explorer::Tally& tally) {
+  Json cell;
+  cell.set("executions", tally.executions)
+      .set("pruned_subtrees", tally.pruned_subtrees)
+      .set("reduced_subtrees", tally.reduced_subtrees)
+      .set("stateful_cuts", tally.stateful_cuts)
+      .set("crashed_executions", tally.crashed_executions)
+      .set("recovered_executions", tally.recovered_executions)
+      .set("stuck_executions", tally.stuck_executions);
+  json.set("search", cell);
 }
 
 /// Stamps the agreement-as-a-service soak telemetry (bench_f8's

@@ -1,38 +1,14 @@
 #!/usr/bin/env bash
-# Full verification pass: configure, build, run the test suite, run the
-# AddressSanitizer, UndefinedBehaviorSanitizer and ThreadSanitizer
-# configurations, then run every experiment binary from a Release build.
+# Full verification pass: configure, build, run the test suite, run it again
+# under AddressSanitizer and UndefinedBehaviorSanitizer, run the
+# ThreadSanitizer stage, then run every experiment binary from a Release
+# build and check the committed bench-results/ artifacts against them.
 # Exits non-zero on the first failure. This is what CI would run. Every
 # ctest invocation carries a per-test timeout so a hung exploration fails
 # loudly instead of stalling the whole pass.
 #
 #   scripts/check.sh              full pass (tier-1 + sanitizers + benches)
 #   scripts/check.sh --quick      tier-1 only: build + test suite, nothing else
-#   scripts/check.sh --stepper-smoke engine-equivalence gate only: the
-#                                 equivalence pin and stepped-engine suites
-#                                 under Debug + AddressSanitizer — proves
-#                                 fiber and stepped kernels explore
-#                                 bit-identically before anything ships
-#   scripts/check.sh --crash-smoke crash-exploration gate only: exhaustive
-#                                 f=1 over Algorithm 5's doorway scenario
-#                                 must verify linearizable, and the
-#                                 doorway-ablated variant must report a
-#                                 violation — both deterministic
-#   scripts/check.sh --recovery-smoke crash-recovery gate only: the
-#                                 recovery-exploration suite (restartable
-#                                 processes, durable vs volatile objects,
-#                                 the recoverable-consensus machine-check)
-#                                 plus the recovery-axis equivalence pins,
-#                                 under Debug + AddressSanitizer — restart
-#                                 re-carves fiber stacks and stepped state
-#                                 blocks, exactly what ASan must watch
-#   scripts/check.sh --stateful-smoke stateful-exploration gate only: the
-#                                 hashing/visited-set suite, the stateful
-#                                 explorer suite, and the stateful half of
-#                                 the equivalence pins, all under Debug +
-#                                 AddressSanitizer — proves stateful cuts
-#                                 stay sound and both engines fingerprint
-#                                 identically before anything ships
 #   scripts/check.sh --soak-smoke multi-instance service gate only: ~5 s of
 #                                 bench_f8_soak's agreement-as-a-service
 #                                 stage under AddressSanitizer with the
@@ -52,28 +28,27 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-QUICK=0
-STEPPER_SMOKE=0
-CRASH_SMOKE=0
-RECOVERY_SMOKE=0
-STATEFUL_SMOKE=0
-SOAK_SMOKE=0
-TSAN=0
+MODE=full
 for arg in "$@"; do
   case "${arg}" in
-    --quick) QUICK=1 ;;
-    --stepper-smoke) STEPPER_SMOKE=1 ;;
-    --crash-smoke) CRASH_SMOKE=1 ;;
-    --recovery-smoke) RECOVERY_SMOKE=1 ;;
-    --stateful-smoke) STATEFUL_SMOKE=1 ;;
-    --soak-smoke) SOAK_SMOKE=1 ;;
-    --tsan) TSAN=1 ;;
+    --quick) MODE=quick ;;
+    --soak-smoke) MODE=soak ;;
+    --tsan) MODE=tsan ;;
     *)
-      echo "usage: scripts/check.sh [--quick|--stepper-smoke|--crash-smoke|--recovery-smoke|--stateful-smoke|--soak-smoke|--tsan]" >&2
+      echo "usage: scripts/check.sh [--quick|--soak-smoke|--tsan]" >&2
       exit 2
       ;;
   esac
 done
+
+# Configures build directory $1 with -fsanitize=$2 plus any further flags.
+configure_sanitized() {
+  local dir="$1" san="$2"
+  shift 2
+  cmake -B "${dir}" -G Ninja \
+    -DCMAKE_CXX_FLAGS="-fsanitize=${san}${*:+ $*} -fno-omit-frame-pointer -g -O1" \
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=${san}"
+}
 
 # --- ThreadSanitizer: guard the explorer's walker and work queue, --------
 # cancellation paths and source-set reports (units hand their demands on
@@ -88,9 +63,7 @@ tsan_stage() {
   local tests=(fiber_test explorer_test parallel_explorer_test reduction_test
     checkpoint_resume_test equivalence_pin_test observer_test
     sharded_service_test stepper_test)
-  cmake -B build-tsan -G Ninja \
-    -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer -g -O1" \
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
+  configure_sanitized build-tsan thread
   cmake --build build-tsan --target "${tests[@]}"
   for t in "${tests[@]}"; do
     echo "== tsan: ${t}"
@@ -98,87 +71,9 @@ tsan_stage() {
   done
 }
 
-if [[ "${TSAN}" == "1" ]]; then
+if [[ "${MODE}" == "tsan" ]]; then
   tsan_stage
   echo "TSAN PASSED"
-  exit 0
-fi
-
-# --- Stepper smoke: the engine-equivalence gate --------------------------
-# The stepped engine is only admissible because it is *provably* the same
-# search: the pin suite replays both engines across the {reduction,
-# threads, crash} grid and requires bit-identical Results, and the stepper
-# suite covers mixed-engine worlds, the fiber-fallback rule, replay/shrink
-# and state-block teardown. Run under ASan so the duff's-device state
-# blocks and the arena carving get lifetime-checked at the same time.
-if [[ "${STEPPER_SMOKE}" == "1" ]]; then
-  cmake -B build-asan -G Ninja \
-    -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer -g -O1" \
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address"
-  cmake --build build-asan --target equivalence_pin_test stepper_test
-  build-asan/tests/equivalence_pin_test
-  build-asan/tests/stepper_test
-  echo "STEPPER SMOKE PASSED"
-  exit 0
-fi
-
-# --- Crash smoke: the exhaustive crash-exploration gate ------------------
-# Two deterministic facts stand in for the whole robustness story: with
-# f = 1 every single-crash placement over Algorithm 5's doorway scenario
-# yields a linearizable history, and ablating the doorway makes the same
-# exhaustive search convict the algorithm with a concrete counterexample.
-# Both run under the step-quota watchdog, so a livelocked regression fails
-# structurally instead of hanging the stage.
-if [[ "${CRASH_SMOKE}" == "1" ]]; then
-  cmake -B build -G Ninja
-  cmake --build build --target crash_exploration_test
-  build/tests/crash_exploration_test --gtest_filter='CrashExploration.Algorithm5LinearizableOverAllSingleCrashPlacements:CrashExploration.DoorwayAblationConvictedDeterministically'
-  echo "CRASH SMOKE PASSED"
-  exit 0
-fi
-
-# --- Recovery smoke: the crash-recovery gate ------------------------------
-# Restart re-enters a crashed process from the top — destroying and
-# re-carving its fiber stack or restoring its stepped state block from the
-# pristine snapshot — while durable object state persists and volatile
-# state is wiped by crash-event hooks. All of that is lifetime-sensitive,
-# so the gate runs the recovery suite (restartable processes, the
-# durability axis, replay/shrink/jsonl of recovery decisions, the
-# recoverable-consensus machine-check) and the checkpoint suite's recovery
-# campaign under ASan, plus the full equivalence pins whose f=1 r=1 axis
-# requires both engines to restart bit-identically.
-if [[ "${RECOVERY_SMOKE}" == "1" ]]; then
-  cmake -B build-asan -G Ninja \
-    -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer -g -O1" \
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address"
-  cmake --build build-asan --target recovery_exploration_test \
-    checkpoint_resume_test equivalence_pin_test
-  build-asan/tests/recovery_exploration_test
-  build-asan/tests/checkpoint_resume_test \
-    --gtest_filter='CheckpointResume.RecoveryExplorationCampaignResumes:CheckpointResume.DecisionStringsRoundTripIncludingCrashFlags'
-  build-asan/tests/equivalence_pin_test --gtest_filter='-*Stateful*'
-  echo "RECOVERY SMOKE PASSED"
-  exit 0
-fi
-
-# --- Stateful smoke: the stateful-exploration soundness gate -------------
-# Stateful cuts are only admissible because they are provably the same
-# verdict: the hashing suite pins the fingerprint primitives and attacks
-# the visited set's open addressing, the stateful suite covers soundness
-# (violations found, replayed, shrunk; unported worlds degrade to zero
-# cuts) and the knob/checkpoint rules, and the stateful equivalence pins
-# require both engines to fingerprint bit-identically. Run under ASan so
-# the concurrent visited set gets lifetime-checked at the same time.
-if [[ "${STATEFUL_SMOKE}" == "1" ]]; then
-  cmake -B build-asan -G Ninja \
-    -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer -g -O1" \
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address"
-  cmake --build build-asan --target hashing_test stateful_exploration_test \
-    equivalence_pin_test
-  build-asan/tests/hashing_test
-  build-asan/tests/stateful_exploration_test
-  build-asan/tests/equivalence_pin_test --gtest_filter='*Stateful*'
-  echo "STATEFUL SMOKE PASSED"
   exit 0
 fi
 
@@ -192,10 +87,8 @@ fi
 # skipped (0 s) — this gate is about the instance layer, and the full pass
 # still soaks the legacy workloads from the Release bench stage. Results
 # land in a scratch directory so checked-in bench-results/ stay untouched.
-if [[ "${SOAK_SMOKE}" == "1" ]]; then
-  cmake -B build-asan -G Ninja \
-    -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer -g -O1" \
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address"
+if [[ "${MODE}" == "soak" ]]; then
+  configure_sanitized build-asan address
   cmake --build build-asan --target bench_f8_soak
   ROOT="$(pwd)"
   SCRATCH="$(mktemp -d)"
@@ -216,45 +109,36 @@ cmake --build build
 
 ctest --test-dir build --output-on-failure --timeout "${CTEST_TIMEOUT}"
 
-if [[ "${QUICK}" == "1" ]]; then
+if [[ "${MODE}" == "quick" ]]; then
   echo "QUICK CHECKS PASSED (tier-1 only; sanitizers and benches skipped)"
   exit 0
 fi
 
-# --- AddressSanitizer: the whole suite. The fiber layer hand-switches ----
-# stacks with swapcontext, which ASan can only follow through the
-# __sanitizer_*_switch_fiber annotations in src/runtime/fiber.cpp — this
-# stage is what keeps those annotations honest, and catches stack misuse /
-# lifetime bugs everywhere else.
-cmake -B build-asan -G Ninja \
-  -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer -g -O1" \
-  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address"
-cmake --build build-asan
-
-ctest --test-dir build-asan --output-on-failure --timeout "${CTEST_TIMEOUT}"
-
-# --- UndefinedBehaviorSanitizer: the whole suite. The footprint/sleep-set -
+# --- AddressSanitizer and UndefinedBehaviorSanitizer: the whole suite. ---
+# The fiber layer hand-switches stacks with swapcontext, which ASan can
+# only follow through the __sanitizer_*_switch_fiber annotations in
+# src/runtime/fiber.cpp — ASan keeps those annotations honest and catches
+# stack misuse / lifetime bugs everywhere else. The footprint/sleep-set
 # layer leans on bit shifts over 64-bit masks and on mixed-radix counter
 # arithmetic; UBSan guards the shift widths and signed overflow.
-cmake -B build-ubsan -G Ninja \
-  -DCMAKE_CXX_FLAGS="-fsanitize=undefined -fno-sanitize-recover=all -fno-omit-frame-pointer -g -O1" \
-  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=undefined"
-cmake --build build-ubsan
-
-ctest --test-dir build-ubsan --output-on-failure --timeout "${CTEST_TIMEOUT}"
+for san in asan ubsan; do
+  if [[ "${san}" == "asan" ]]; then
+    configure_sanitized build-asan address
+  else
+    configure_sanitized build-ubsan undefined -fno-sanitize-recover=all
+  fi
+  cmake --build "build-${san}"
+  ctest --test-dir "build-${san}" --output-on-failure \
+    --timeout "${CTEST_TIMEOUT}"
+done
 
 # --- ThreadSanitizer: the stage `--tsan` runs (see tsan_stage above). ----
 tsan_stage
 
-# --- Benches: Release build, JSON artifacts land in bench-results/ -------
-cmake -B build-release -G Ninja -DCMAKE_BUILD_TYPE=Release
-cmake --build build-release
-
-mkdir -p bench-results
-cd bench-results
-for bench in ../build-release/bench/bench_*; do
-  echo "== ${bench}"
-  "${bench}"
-done
-cd ..
+# --- Benches: every experiment binary from a Release build, run in a -----
+# temp directory; each self-gates on its claims, and every artifact's key
+# set must match the committed bench-results/. The artifacts carry this
+# host's numbers, so the pass never writes them into the tree (that is
+# scripts/refresh_bench_results.sh without --check).
+scripts/refresh_bench_results.sh --check
 echo "ALL CHECKS PASSED"

@@ -99,18 +99,6 @@ if [[ "${CHECK}" == "1" ]]; then
       FAIL=1
     fi
   done
-  # Every artifact must carry the crash-recovery cells (set_recovery_fields
-  # in bench/bench_util.hpp) — same rationale as the soak pin above: the
-  # key-set diff can't catch a field dropped from both sides at once.
-  for committed in bench-results/BENCH_*.json; do
-    for key in max_recoveries recovered_executions; do
-      if ! key_set "${committed}" 2>/dev/null \
-          | grep -x "${key}" >/dev/null; then
-        echo "refresh-bench: STALE — ${committed} missing recovery cell ${key}" >&2
-        FAIL=1
-      fi
-    done
-  done
   [[ "${FAIL}" == "0" ]] || exit 1
   echo "BENCH RESULTS CURRENT"
   exit 0

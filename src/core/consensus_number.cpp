@@ -182,8 +182,7 @@ ConsensusCheck check_consensus_algorithm(
     opts.threads = threads;
     const Explorer::Result r = Explorer::explore(
         [&](ScheduleDriver& driver) { body(driver, inputs); }, opts);
-    check.executions += r.executions;
-    check.reduced_subtrees += r.reduced_subtrees;
+    check += r;
     if (!r.complete) {
       check.exhaustive = false;
     }

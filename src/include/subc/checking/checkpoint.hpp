@@ -7,10 +7,13 @@
 // diagnostic — into a two-line JSONL snapshot:
 //
 //   {"kind":"header","version":1,"max_executions":N,"max_crashes":F,
-//    "step_quota":Q,"reduction":"sleep","stateful":false}
+//    "max_recoveries":R,"step_quota":Q,"reduction":"sleep","stateful":false}
 //   {"kind":"state","executions":N,"pruned":N,"reduced":N,"crashed":N,
-//    "stuck":N,"stateful_cuts":N,"done":false,"complete":false,
+//    "recovered":N,"stuck":N,"stateful_cuts":N,"done":false,"complete":false,
 //    "prefix":"0/3/7/0/0/0/0/0 1/4/0/0/1/0/0/-"}
+//
+// The state line adds "violation"/"violating_trace" when a violation was
+// found and "stuck_message"/"stuck_trace" when an execution got stuck.
 //
 // `Explorer::resume(body, path, opts)` reloads a snapshot and continues the
 // search from the watermark, producing the bit-identical final `Result` an
@@ -24,15 +27,17 @@
 // digit per listed option in insertion order, or "-" for a full-branching
 // decision. Five-field tokens from pre-recovery snapshots read back with
 // recoverflag = 0; five- and six-field tokens from before source sets read
-// back as full-branching decisions.
+// back as full-branching decisions. A snapshot is outside input: counts,
+// option echoes and decision-token numbers must be unsigned decimals in
+// range for their fields, or loading throws `SimError`.
 #pragma once
 
 #include <cctype>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <optional>
@@ -44,6 +49,7 @@
 #include <vector>
 
 #include "subc/checking/trace_jsonl.hpp"
+#include "subc/runtime/explorer.hpp"
 #include "subc/runtime/scheduler.hpp"
 #include "subc/runtime/value.hpp"
 
@@ -70,27 +76,14 @@ struct ExplorerSnapshot {
   /// before this field read back as false.
   bool stateful = false;
 
-  // --- tallies over the completed canonical prefix of the search ---
-  std::int64_t executions = 0;
-  std::int64_t pruned = 0;
-  std::int64_t reduced = 0;
-  std::int64_t crashed = 0;
-  /// Executions with >= 1 recovery over the completed prefix (0 for
-  /// pre-recovery snapshots, which omit the field).
-  std::int64_t recovered = 0;
-  std::int64_t stuck = 0;
-  /// Stateful cuts over the completed prefix (0 for pre-stateful
-  /// snapshots, which omit the field).
-  std::int64_t stateful_cuts = 0;
-
   /// True when the search finished (tree exhausted, budget spent, or a
   /// violation found); `prefix` is empty and meaningless then.
   bool done = false;
-  bool complete = false;
-  std::optional<std::string> violation;
-  std::vector<ReplayDriver::Decision> violating_trace;
-  std::optional<std::string> stuck_message;
-  std::vector<ReplayDriver::Decision> stuck_trace;
+  /// The watermark while the search runs: the tallies over its completed
+  /// canonical prefix and the first stuck diagnostic. Once `done`, the
+  /// search's final Result, which `Explorer::resume` returns as it stands.
+  /// `stateful_states` is not saved and reads back as 0.
+  Explorer::Result result;
   /// The decision prefix the search continues from (the next prefix the
   /// serial restart-DFS would run). Empty when `done`.
   std::vector<ReplayDriver::Decision> prefix;
@@ -130,15 +123,92 @@ inline std::string encode_decisions(
   return out;
 }
 
+namespace checkpoint_detail {
+
+/// Reads the unsigned decimal at `p` and moves `p` past it: one or more
+/// digits, no sign, at most `max`. Anything else throws `SimError`, naming
+/// `who` and quoting `text`.
+inline std::uint64_t read_unsigned(const char*& p, std::uint64_t max,
+                                   const char* who, const std::string& text) {
+  const char* const start = p;
+  std::uint64_t v = 0;
+  for (; *p >= '0' && *p <= '9'; ++p) {
+    const auto digit = static_cast<std::uint64_t>(*p - '0');
+    if (v > (max - digit) / 10) {
+      break;  // out of range: the digit left at `p` reports it below
+    }
+    v = v * 10 + digit;
+  }
+  if (p == start || (*p >= '0' && *p <= '9')) {
+    throw SimError(std::string(who) +
+                   ": expected an unsigned integer of at most " +
+                   std::to_string(max) + " in: " + text);
+  }
+  return v;
+}
+
+/// The unsigned integer following `"key":` in `line`, at most `max`. An
+/// absent key throws when `required`, and reads as 0 otherwise.
+inline std::int64_t unsigned_field(const std::string& line,
+                                   std::string_view key, std::int64_t max,
+                                   bool required) {
+  const std::string pat = "\"" + std::string(key) + "\":";
+  const std::size_t at = line.find(pat);
+  if (at == std::string::npos) {
+    if (required) {
+      throw SimError("load_snapshot: missing field \"" + std::string(key) +
+                     "\" in: " + line);
+    }
+    return 0;
+  }
+  const char* p = line.c_str() + at + pat.size();
+  return static_cast<std::int64_t>(read_unsigned(
+      p, static_cast<std::uint64_t>(max), "load_snapshot", line));
+}
+
+inline bool bool_field(std::string_view line, std::string_view key) {
+  const std::string pat = "\"" + std::string(key) + "\":true";
+  return line.find(pat) != std::string_view::npos;
+}
+
+inline bool has_field(std::string_view line, std::string_view key) {
+  const std::string pat = "\"" + std::string(key) + "\":";
+  return line.find(pat) != std::string_view::npos;
+}
+
+/// The state line's counts in file order: the key, the Tally member it
+/// holds, and whether older snapshots omit it (it then reads back as 0).
+struct CountField {
+  const char* key;
+  std::int64_t Explorer::Tally::*member;
+  bool optional;
+};
+
+inline constexpr CountField kCountFields[] = {
+    {"executions", &Explorer::Tally::executions, false},
+    {"pruned", &Explorer::Tally::pruned_subtrees, false},
+    {"reduced", &Explorer::Tally::reduced_subtrees, false},
+    {"crashed", &Explorer::Tally::crashed_executions, false},
+    {"recovered", &Explorer::Tally::recovered_executions, true},
+    {"stuck", &Explorer::Tally::stuck_executions, false},
+    {"stateful_cuts", &Explorer::Tally::stateful_cuts, true},
+};
+
+}  // namespace checkpoint_detail
+
 /// Parses `encode_decisions` output. Throws `SimError` on malformed tokens.
 inline std::vector<ReplayDriver::Decision> decode_decisions(
     const std::string& text) {
   std::vector<ReplayDriver::Decision> out;
   const char* p = text.c_str();
-  const auto expect_slash = [&text](const char* at) {
-    if (*at != '/') {
+  const auto number = [&p, &text](std::uint64_t max) {
+    return checkpoint_detail::read_unsigned(p, max, "decode_decisions", text);
+  };
+  const auto slash = [&p, &text] {
+    if (*p != '/') {
       throw SimError("decode_decisions: malformed decision token in: " + text);
     }
+    ++p;
   };
   while (*p != '\0') {
     while (*p == ' ') {
@@ -148,19 +218,14 @@ inline std::vector<ReplayDriver::Decision> decode_decisions(
       break;
     }
     ReplayDriver::Decision d;
-    char* after = nullptr;
-    d.chosen = static_cast<std::uint32_t>(std::strtoul(p, &after, 10));
-    expect_slash(after);
-    p = after + 1;
-    d.arity = static_cast<std::uint32_t>(std::strtoul(p, &after, 10));
-    expect_slash(after);
-    p = after + 1;
-    d.enabled = std::strtoull(p, &after, 10);
-    expect_slash(after);
-    p = after + 1;
-    d.sleep = std::strtoull(p, &after, 10);
-    expect_slash(after);
-    p = after + 1;
+    d.chosen = static_cast<std::uint32_t>(number(UINT32_MAX));
+    slash();
+    d.arity = static_cast<std::uint32_t>(number(UINT32_MAX));
+    slash();
+    d.enabled = number(UINT64_MAX);
+    slash();
+    d.sleep = number(UINT64_MAX);
+    slash();
     if (*p != '0' && *p != '1') {
       throw SimError("decode_decisions: bad crash flag in: " + text);
     }
@@ -178,9 +243,9 @@ inline std::vector<ReplayDriver::Decision> decode_decisions(
     }
     if (*p == '/') {
       // Source-set fields: the explored set and the backtrack list.
-      d.explored = std::strtoull(p + 1, &after, 10);
-      expect_slash(after);
-      p = after + 1;
+      ++p;
+      d.explored = number(UINT64_MAX);
+      slash();
       if (*p == '-') {
         ++p;
       }
@@ -217,20 +282,6 @@ inline std::vector<ReplayDriver::Decision> decode_decisions(
   return out;
 }
 
-namespace checkpoint_detail {
-
-inline bool bool_field(std::string_view line, std::string_view key) {
-  const std::string pat = "\"" + std::string(key) + "\":true";
-  return line.find(pat) != std::string_view::npos;
-}
-
-inline bool has_field(std::string_view line, std::string_view key) {
-  const std::string pat = "\"" + std::string(key) + "\":";
-  return line.find(pat) != std::string_view::npos;
-}
-
-}  // namespace checkpoint_detail
-
 /// Serializes `snap` to `path` atomically: the snapshot is staged as
 /// `<path>.tmp` and renamed over `path`, so readers (and a resume after a
 /// crash mid-write) always see a complete snapshot. Transient filesystem
@@ -243,6 +294,7 @@ inline bool has_field(std::string_view line, std::string_view key) {
 inline void save_snapshot(const std::string& path,
                           const ExplorerSnapshot& snap) {
   namespace jd = jsonl_detail;
+  namespace cd = checkpoint_detail;
   std::string text = "{\"kind\":\"header\",\"version\":1,\"max_executions\":" +
                      std::to_string(snap.max_executions) +
                      ",\"max_crashes\":" + std::to_string(snap.max_crashes) +
@@ -254,30 +306,28 @@ inline void save_snapshot(const std::string& path,
   text += "\",\"stateful\":";
   text += snap.stateful ? "true" : "false";
   text += "}\n";
-  text += "{\"kind\":\"state\",\"executions\":" +
-          std::to_string(snap.executions) +
-          ",\"pruned\":" + std::to_string(snap.pruned) +
-          ",\"reduced\":" + std::to_string(snap.reduced) +
-          ",\"crashed\":" + std::to_string(snap.crashed) +
-          ",\"recovered\":" + std::to_string(snap.recovered) +
-          ",\"stuck\":" + std::to_string(snap.stuck) +
-          ",\"stateful_cuts\":" + std::to_string(snap.stateful_cuts) +
-          ",\"done\":";
+  text += "{\"kind\":\"state\"";
+  for (const cd::CountField& f : cd::kCountFields) {
+    text += ",\"";
+    text += f.key;
+    text += "\":" + std::to_string(snap.result.*f.member);
+  }
+  text += ",\"done\":";
   text += snap.done ? "true" : "false";
   text += ",\"complete\":";
-  text += snap.complete ? "true" : "false";
-  if (snap.violation) {
+  text += snap.result.complete ? "true" : "false";
+  if (snap.result.violation) {
     text += ",\"violation\":\"";
-    jd::append_escaped(text, *snap.violation);
+    jd::append_escaped(text, *snap.result.violation);
     text += "\",\"violating_trace\":\"";
-    text += encode_decisions(snap.violating_trace);
+    text += encode_decisions(snap.result.violating_trace);
     text += '"';
   }
-  if (snap.stuck_message) {
+  if (snap.result.first_stuck) {
     text += ",\"stuck_message\":\"";
-    jd::append_escaped(text, *snap.stuck_message);
+    jd::append_escaped(text, snap.result.first_stuck->message);
     text += "\",\"stuck_trace\":\"";
-    text += encode_decisions(snap.stuck_trace);
+    text += encode_decisions(snap.result.first_stuck->trace);
     text += '"';
   }
   text += ",\"prefix\":\"";
@@ -348,42 +398,34 @@ inline ExplorerSnapshot load_snapshot(const std::string& path) {
         throw SimError("load_snapshot: unsupported snapshot version " +
                        std::to_string(version));
       }
-      snap.max_executions = jd::int_field_or_throw(line, "max_executions");
-      snap.max_crashes =
-          static_cast<int>(jd::int_field_or_throw(line, "max_crashes"));
+      snap.max_executions =
+          cd::unsigned_field(line, "max_executions", INT64_MAX, true);
+      snap.max_crashes = static_cast<int>(
+          cd::unsigned_field(line, "max_crashes", INT_MAX, true));
       // Absent in pre-recovery snapshots: reads back as 0.
-      if (cd::has_field(line, "max_recoveries")) {
-        snap.max_recoveries =
-            static_cast<int>(jd::int_field_or_throw(line, "max_recoveries"));
-      }
-      snap.step_quota = jd::int_field_or_throw(line, "step_quota");
+      snap.max_recoveries = static_cast<int>(
+          cd::unsigned_field(line, "max_recoveries", INT_MAX, false));
+      snap.step_quota = cd::unsigned_field(line, "step_quota", INT64_MAX, true);
       snap.reduction = jd::string_field(line, "reduction") == "sleep";
       // Absent in pre-stateful snapshots: reads back as false.
       snap.stateful = cd::bool_field(line, "stateful");
       saw_header = true;
     } else if (kind == "state") {
-      snap.executions = jd::int_field_or_throw(line, "executions");
-      snap.pruned = jd::int_field_or_throw(line, "pruned");
-      snap.reduced = jd::int_field_or_throw(line, "reduced");
-      snap.crashed = jd::int_field_or_throw(line, "crashed");
-      if (cd::has_field(line, "recovered")) {
-        snap.recovered = jd::int_field_or_throw(line, "recovered");
-      }
-      snap.stuck = jd::int_field_or_throw(line, "stuck");
-      if (cd::has_field(line, "stateful_cuts")) {
-        snap.stateful_cuts = jd::int_field_or_throw(line, "stateful_cuts");
+      for (const cd::CountField& f : cd::kCountFields) {
+        snap.result.*f.member =
+            cd::unsigned_field(line, f.key, INT64_MAX, !f.optional);
       }
       snap.done = cd::bool_field(line, "done");
-      snap.complete = cd::bool_field(line, "complete");
+      snap.result.complete = cd::bool_field(line, "complete");
       if (cd::has_field(line, "violation")) {
-        snap.violation = jd::string_field(line, "violation");
-        snap.violating_trace =
+        snap.result.violation = jd::string_field(line, "violation");
+        snap.result.violating_trace =
             decode_decisions(jd::string_field(line, "violating_trace"));
       }
       if (cd::has_field(line, "stuck_message")) {
-        snap.stuck_message = jd::string_field(line, "stuck_message");
-        snap.stuck_trace =
-            decode_decisions(jd::string_field(line, "stuck_trace"));
+        snap.result.first_stuck = StuckExecution{
+            jd::string_field(line, "stuck_message"),
+            decode_decisions(jd::string_field(line, "stuck_trace"))};
       }
       snap.prefix = decode_decisions(jd::string_field(line, "prefix"));
       saw_state = true;
@@ -394,6 +436,12 @@ inline ExplorerSnapshot load_snapshot(const std::string& path) {
   }
   if (!saw_header || !saw_state) {
     throw SimError("load_snapshot: truncated snapshot in " + path);
+  }
+  // A violation ends the search, so only a finished snapshot records one;
+  // resuming an unfinished one would stop at a violation it never found.
+  if (!snap.done && snap.result.violation) {
+    throw SimError("load_snapshot: unfinished snapshot records a violation "
+                   "in " + path);
   }
   return snap;
 }

@@ -161,11 +161,9 @@ ValenceReport check_gac_valence(int n, int i);
 using ConsensusWorldBody =
     std::function<void(ScheduleDriver&, const std::vector<Value>&)>;
 
-struct ConsensusCheck {
-  std::int64_t executions = 0;
-  /// Scheduling options the partial-order reduction skipped, summed over
-  /// all input vectors (0 under `Reduction::kNone`).
-  std::int64_t reduced_subtrees = 0;
+/// What `check_consensus_algorithm` found: the tallies of its searches,
+/// summed over every input vector, and the verdict.
+struct ConsensusCheck : Explorer::Tally {
   bool exhaustive = false;
   std::optional<std::string> violation;
 

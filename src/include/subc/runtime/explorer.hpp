@@ -210,15 +210,20 @@ class Explorer {
     std::int64_t checkpoint_every = 4096;
   };
 
-  struct Result {
+  /// The counts every search reports, declared once and summed the same
+  /// way wherever they meet: per run, per work unit, per checkpoint, per
+  /// Result, and across the searches a caller sums (`ConsensusCheck`, a
+  /// bench's artifact). Every one is bit-identical at every thread count,
+  /// except `stateful_cuts` and `executions` under `Options::stateful` in a
+  /// parallel search (see `stateful_cuts`).
+  struct Tally {
     std::int64_t executions = 0;
     /// Subtrees skipped by `Options::prune` (0 when no hook installed).
     std::int64_t pruned_subtrees = 0;
     /// Scheduling options the partial-order reduction never entered at the
     /// decisions the search visited (0 under `Reduction::kNone`): asleep
     /// options, and under source sets the options no race called for.
-    /// Like `pruned_subtrees`, these consume no `max_executions` budget and
-    /// are bit-identical at every thread count.
+    /// Like `pruned_subtrees`, these consume no `max_executions` budget.
     std::int64_t reduced_subtrees = 0;
     /// Subtrees skipped by stateful exploration (`Options::stateful`): the
     /// (world-state, sleep-set) pair at the decision point had already been
@@ -227,14 +232,6 @@ class Explorer {
     /// thread-count-independent but the cut/execution split may vary with
     /// timing (docs/explorer.md).
     std::int64_t stateful_cuts = 0;
-    /// Distinct (state, sleep-set) fingerprints recorded in the visited set
-    /// (0 unless `Options::stateful`).
-    std::int64_t stateful_states = 0;
-    /// True when the decision tree was exhausted within the budget.
-    bool complete = false;
-    /// Set when an execution failed; `trace` replays it.
-    std::optional<std::string> violation;
-    std::vector<ReplayDriver::Decision> violating_trace;
     /// Executions in which at least one crash landed (0 unless
     /// `Options::max_crashes` > 0 or the body injects crashes itself).
     std::int64_t crashed_executions = 0;
@@ -243,9 +240,31 @@ class Explorer {
     /// itself).
     std::int64_t recovered_executions = 0;
     /// Executions cut by the step-quota watchdog (each also counted in
-    /// `executions`). Like every other tally, bit-identical across thread
-    /// counts.
+    /// `executions`).
     std::int64_t stuck_executions = 0;
+
+    Tally& operator+=(const Tally& o) noexcept {
+      executions += o.executions;
+      pruned_subtrees += o.pruned_subtrees;
+      reduced_subtrees += o.reduced_subtrees;
+      stateful_cuts += o.stateful_cuts;
+      crashed_executions += o.crashed_executions;
+      recovered_executions += o.recovered_executions;
+      stuck_executions += o.stuck_executions;
+      return *this;
+    }
+  };
+
+  /// What a search found: its tallies plus the verdict and diagnostics.
+  struct Result : Tally {
+    /// Distinct (state, sleep-set) fingerprints recorded in the visited set
+    /// (0 unless `Options::stateful`).
+    std::int64_t stateful_states = 0;
+    /// True when the decision tree was exhausted within the budget.
+    bool complete = false;
+    /// Set when an execution failed; `trace` replays it.
+    std::optional<std::string> violation;
+    std::vector<ReplayDriver::Decision> violating_trace;
     /// The canonically first stuck execution, when any occurred before the
     /// search ended (diagnostic — does not affect `ok()`).
     std::optional<StuckExecution> first_stuck;

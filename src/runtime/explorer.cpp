@@ -149,61 +149,7 @@ class BudgetScope {
   bool holder_ = false;
 };
 
-// The tallies every search reports, summed the same way wherever they meet:
-// per attempt, per work unit, per snapshot and per Result.
-struct Tally {
-  std::int64_t executions = 0;
-  std::int64_t pruned = 0;
-  std::int64_t reduced = 0;
-  std::int64_t crashed = 0;    ///< executions in which >= 1 crash landed
-  std::int64_t recovered = 0;  ///< executions in which >= 1 recovery landed
-  std::int64_t stuck = 0;      ///< executions cut by the step-quota watchdog
-  std::int64_t stateful = 0;   ///< subtrees cut by stateful exploration
-
-  Tally& operator+=(const Tally& o) {
-    executions += o.executions;
-    pruned += o.pruned;
-    reduced += o.reduced;
-    crashed += o.crashed;
-    recovered += o.recovered;
-    stuck += o.stuck;
-    stateful += o.stateful;
-    return *this;
-  }
-};
-
-// The tallies of the public snapshot and Result types, read and written in
-// one place each.
-Tally tally_of(const ExplorerSnapshot& s) {
-  return {s.executions, s.pruned, s.reduced, s.crashed,
-          s.recovered, s.stuck, s.stateful_cuts};
-}
-
-Tally tally_of(const Explorer::Result& r) {
-  return {r.executions, r.pruned_subtrees, r.reduced_subtrees,
-          r.crashed_executions, r.recovered_executions, r.stuck_executions,
-          r.stateful_cuts};
-}
-
-void store(const Tally& t, ExplorerSnapshot& s) {
-  s.executions = t.executions;
-  s.pruned = t.pruned;
-  s.reduced = t.reduced;
-  s.crashed = t.crashed;
-  s.recovered = t.recovered;
-  s.stuck = t.stuck;
-  s.stateful_cuts = t.stateful;
-}
-
-void store(const Tally& t, Explorer::Result& r) {
-  r.executions = t.executions;
-  r.pruned_subtrees = t.pruned;
-  r.reduced_subtrees = t.reduced;
-  r.crashed_executions = t.crashed;
-  r.recovered_executions = t.recovered;
-  r.stuck_executions = t.stuck;
-  r.stateful_cuts = t.stateful;
-}
+using Tally = Explorer::Tally;
 
 // Tallies of one subtree work unit, merged in canonical order afterwards.
 struct SubtreeStats {
@@ -385,31 +331,31 @@ std::optional<std::string> attempt(const ExecutionBody& body,
   try {
     violation = run_driven(body, driver, opts.observer, &driver);
   } catch (const StuckCut&) {
-    ++t.stuck;
+    ++t.stuck_executions;
     if (opts.observer != nullptr) {
       opts.observer->on_stuck(stuck_message_for(opts.step_quota));
     }
   }
-  t.reduced += driver.reduced();
+  t.reduced_subtrees += driver.reduced();
   switch (driver.cut()) {
     case ReplayDriver::Cut::kNone:
       ++t.executions;
-      t.crashed += driver.crashes() > 0 ? 1 : 0;
-      t.recovered += driver.recoveries() > 0 ? 1 : 0;
+      t.crashed_executions += driver.crashes() > 0 ? 1 : 0;
+      t.recovered_executions += driver.recoveries() > 0 ? 1 : 0;
       break;
-    case ReplayDriver::Cut::kSleep:  // a redundant subtree, in `reduced`
+    case ReplayDriver::Cut::kSleep:  // redundant, in `reduced_subtrees`
       break;
     case ReplayDriver::Cut::kStateful:
       // The (state, sleep-set) pair at this decision point was already
       // explored: the subtree below is behaviour-identical to one already
       // searched (above the frontier: the whole subtree, units included).
-      ++t.stateful;
+      ++t.stateful_cuts;
       if (opts.observer != nullptr) {
         opts.observer->on_stateful_cut(1);
       }
       break;
     case ReplayDriver::Cut::kPrune:
-      ++t.pruned;
+      ++t.pruned_subtrees;
       break;
     case ReplayDriver::Cut::kFrontier:  // its worker re-runs it and pays
       break;
@@ -440,7 +386,7 @@ SubtreeStats explore_subtree(const ExecutionBody& body,
     if (!budget.ensure()) {
       return stats;  // budget finally exhausted (`finished` stays false)
     }
-    const std::int64_t reduced_before = tally.reduced;
+    const std::int64_t reduced_before = tally.reduced_subtrees;
     ReplayDriver driver = make_driver(std::move(prefix), opts, state, races);
     std::optional<std::string> violation =
         attempt(body, driver, opts, tally);
@@ -459,14 +405,14 @@ SubtreeStats explore_subtree(const ExecutionBody& body,
       stats.finished = true;
       return stats;
     }
-    if (tally.stuck > 0 && !stats.stuck_message) {  // the first stuck run
+    if (tally.stuck_executions > 0 && !stats.stuck_message) {  // first stuck
       stats.stuck_message = stuck_message_for(opts.step_quota);
       stats.stuck_trace = trace;  // copy: advance() mutates `trace` next
     }
-    const bool more =
-        advance(trace, floor, opts.prune, tally.pruned, tally.reduced);
-    if (opts.observer != nullptr && tally.reduced != reduced_before) {
-      opts.observer->on_reduced(tally.reduced - reduced_before);
+    const bool more = advance(trace, floor, opts.prune, tally.pruned_subtrees,
+                              tally.reduced_subtrees);
+    if (opts.observer != nullptr && tally.reduced_subtrees != reduced_before) {
+      opts.observer->on_reduced(tally.reduced_subtrees - reduced_before);
     }
     if (!more) {
       stats.finished = true;
@@ -507,14 +453,14 @@ std::size_t auto_frontier_depth(int threads) {
 }
 
 // The canonical fold: the walker's events in serial-DFS order, each added to
-// one running tally once it and every event before it have settled, up to
+// one running Result once it and every event before it have settled, up to
 // and including the first violating one — the canonical winner. An event is
 // one attempt (its unit's whole subtree included) or the subtrees `advance`
 // pruned or skipped after it. A unit settles when whoever explores it is
 // done; everything else settles at once, so only events behind an unsettled
 // unit wait, and a walk without workers keeps none. A resumed search starts
-// the fold from its snapshot's watermark. Checkpoints, the final Result,
-// `complete` and `first_stuck` all read the fold.
+// the fold from its snapshot's watermark. Checkpoints and the final Result
+// read the fold.
 struct Fold {
   struct Event {
     Tally tally;
@@ -524,13 +470,10 @@ struct Fold {
   };
 
   std::int64_t step_quota = 0;
-  Tally tally;
+  Explorer::Result result;  ///< tallies, violation and first stuck run
   bool unfinished = false;  ///< a unit stopped short (cancel or budget)
   std::uint64_t folded = 0;
   std::uint64_t winner = ViolationLog::kNone;
-  std::optional<std::string> violation;
-  std::vector<Decision> violating_trace;
-  std::optional<StuckExecution> first_stuck;
   std::vector<Event> waiting;  ///< from `head` on: behind an unsettled unit
   std::size_t head = 0;
 
@@ -547,7 +490,7 @@ struct Fold {
       return;
     }
     Event& ev = waiting.emplace_back(Event{t, unit, std::move(v), {}});
-    if (ev.violation || t.stuck > 0) {
+    if (ev.violation || t.stuck_executions > 0) {
       ev.trace = trace;
     }
     settle();
@@ -572,61 +515,31 @@ struct Fold {
   void fold(const Tally& t, const UnitRecord* unit,
             std::optional<std::string> v, const std::vector<Decision>& trace) {
     const std::uint64_t index = folded++;
-    if (violation) {
+    if (result.violation) {
       return;  // nothing after the winner counts
     }
-    tally += t;
-    if (t.stuck > 0 && !first_stuck) {
-      first_stuck = StuckExecution{stuck_message_for(step_quota), trace};
+    result += t;
+    if (t.stuck_executions > 0 && !result.first_stuck) {
+      result.first_stuck =
+          StuckExecution{stuck_message_for(step_quota), trace};
     }
     if (unit != nullptr) {
       // DFS order puts a unit's first stuck run before its violation.
       const SubtreeStats& st = unit->stats;
-      tally += st.tally;
+      result += st.tally;
       unfinished = unfinished || !st.finished;
-      if (st.stuck_message && !first_stuck) {
-        first_stuck = StuckExecution{*st.stuck_message, st.stuck_trace};
+      if (st.stuck_message && !result.first_stuck) {
+        result.first_stuck = StuckExecution{*st.stuck_message, st.stuck_trace};
       }
       v = st.violation;
     }
     if (v) {
       winner = index;
-      violation = std::move(v);
-      violating_trace = unit != nullptr ? unit->stats.trace : trace;
+      result.violation = std::move(v);
+      result.violating_trace = unit != nullptr ? unit->stats.trace : trace;
     }
   }
 };
-
-Explorer::Result result_from_snapshot(const ExplorerSnapshot& s) {
-  Explorer::Result r;
-  store(tally_of(s), r);
-  r.complete = s.complete;
-  if (s.violation) {
-    r.violation = s.violation;
-    r.violating_trace = s.violating_trace;
-  }
-  if (s.stuck_message) {
-    r.first_stuck = StuckExecution{*s.stuck_message, s.stuck_trace};
-  }
-  return r;
-}
-
-ExplorerSnapshot snapshot_of_result(const Explorer::Options& opts,
-                                    const Explorer::Result& r) {
-  ExplorerSnapshot s = snapshot_proto(opts);
-  store(tally_of(r), s);
-  s.done = true;
-  s.complete = r.complete;
-  if (r.violation) {
-    s.violation = r.violation;
-    s.violating_trace = r.violating_trace;
-  }
-  if (r.first_stuck) {
-    s.stuck_message = r.first_stuck->message;
-    s.stuck_trace = r.first_stuck->trace;
-  }
-  return s;
-}
 
 void validate_options(const Explorer::Options& opts) {
   if (opts.max_executions <= 0) {
@@ -674,7 +587,7 @@ void validate_options(const Explorer::Options& opts) {
 
 // The one search behind explore() and resume(): a walker enumerates the tree
 // in serial DFS order on the calling thread, from `prefix` on (a resumed
-// snapshot's restart point, with `base` carrying its watermark), and folds
+// snapshot's restart point, with `base` its watermark), and folds
 // its events. With `threads - 1` workers it cuts its runs at the frontier
 // depth and streams each cut prefix as a work unit through a bounded ring to
 // them, running the oldest queued unit itself when the ring is full. With
@@ -694,19 +607,12 @@ void validate_options(const Explorer::Options& opts) {
 Explorer::Result explore_impl(const ExecutionBody& body,
                               const Explorer::Options& opts,
                               std::vector<Decision> prefix,
-                              const ExplorerSnapshot* base) {
+                              Explorer::Result base) {
   const int threads = Explorer::resolve_threads(opts.threads);
   const ExplorerSnapshot proto = snapshot_proto(opts);
-  Fold fold{opts.step_quota};
-  if (base != nullptr) {
-    fold.tally = tally_of(*base);
-    if (base->stuck_message) {
-      fold.first_stuck =
-          StuckExecution{*base->stuck_message, base->stuck_trace};
-    }
-  }
+  Fold fold{opts.step_quota, std::move(base)};
   SearchState state;
-  state.max_executions = opts.max_executions - fold.tally.executions;
+  state.max_executions = opts.max_executions - fold.result.executions;
   if (opts.stateful) {
     state.visited = std::make_unique<detail::VisitedSet>(
         static_cast<std::size_t>(opts.stateful_capacity));
@@ -792,18 +698,13 @@ Explorer::Result explore_impl(const ExecutionBody& body,
   // Result.
   const auto checkpoint = [&](const std::vector<Decision>& next) {
     ExplorerSnapshot s = proto;
-    Tally below = fold.tally;
+    s.result = fold.result;
     const std::vector<Decision>* restart = &next;
     if (fold.head < fold.waiting.size()) {
-      below += fold.waiting[fold.head].tally;
+      s.result += fold.waiting[fold.head].tally;
       restart = &fold.waiting[fold.head].unit->prefix;
     }
-    store(below, s);
     s.prefix = *restart;
-    if (fold.first_stuck) {
-      s.stuck_message = fold.first_stuck->message;
-      s.stuck_trace = fold.first_stuck->trace;
-    }
     try {
       save_snapshot(opts.checkpoint_path, s);
     } catch (const SimError&) {
@@ -886,7 +787,8 @@ Explorer::Result explore_impl(const ExecutionBody& body,
     // Branches marked [[unlikely]] run only with workers: the marks keep
     // them out of the lone walker's path, which every serial search runs.
     for (;;) {
-      if (fold.violation || state.log.best_index() < fold.next_index()) {
+      if (fold.result.violation ||
+          state.log.best_index() < fold.next_index()) {
         break;  // a violation canonically precedes the next event
       }
       if (!budget.ensure()) {
@@ -937,7 +839,7 @@ Explorer::Result explore_impl(const ExecutionBody& body,
       // behind an unsettled unit: nothing after it can win.
       const bool violated = violation.has_value();
       fold.add(own, unit, std::move(violation), trace);
-      if (violated || fold.violation) {
+      if (violated || fold.result.violation) {
         break;
       }
       if (sources && unit != nullptr) [[unlikely]] {
@@ -953,13 +855,15 @@ Explorer::Result explore_impl(const ExecutionBody& body,
       // unit's whole subtree): they are an event of their own, so truncated
       // tallies stay exact.
       Tally skipped;
-      const bool more =
-          advance(trace, 0, opts.prune, skipped.pruned, skipped.reduced);
-      if (skipped.pruned != 0 || skipped.reduced != 0) {
+      const bool more = advance(trace, 0, opts.prune, skipped.pruned_subtrees,
+                                skipped.reduced_subtrees);
+      if (skipped.pruned_subtrees != 0 || skipped.reduced_subtrees != 0) {
         fold.add(skipped, nullptr, std::nullopt, trace);
       }
-      if (opts.observer != nullptr && own.reduced + skipped.reduced != 0) {
-        opts.observer->on_reduced(own.reduced + skipped.reduced);
+      const std::int64_t reduced =
+          own.reduced_subtrees + skipped.reduced_subtrees;
+      if (opts.observer != nullptr && reduced != 0) {
+        opts.observer->on_reduced(reduced);
       }
       if (!more) {
         finished = true;
@@ -976,7 +880,7 @@ Explorer::Result explore_impl(const ExecutionBody& body,
           q.pop_front();
         }
       }
-      if (checkpointing && !fold.violation &&
+      if (checkpointing && !fold.result.violation &&
           fold.next_index() - last_snapshot >=
               static_cast<std::uint64_t>(opts.checkpoint_every)) {
         last_snapshot = fold.next_index();
@@ -986,9 +890,10 @@ Explorer::Result explore_impl(const ExecutionBody& body,
     }
   }  // the walker's budget hold refunded here
 
-  if (fold.violation) {
+  if (fold.result.violation) {
     // Units pushed ahead of the walker cannot win: cancel them.
-    state.log.report(fold.winner, *fold.violation, fold.violating_trace);
+    state.log.report(fold.winner, *fold.result.violation,
+                     fold.result.violating_trace);
   }
   {
     const std::lock_guard<std::mutex> lk(qmu);
@@ -1003,27 +908,23 @@ Explorer::Result explore_impl(const ExecutionBody& body,
   }
   fold.settle();
 
-  Explorer::Result result;
-  store(fold.tally, result);
+  Explorer::Result result = std::move(fold.result);
   if (state.visited != nullptr) {
     result.stateful_states = static_cast<std::int64_t>(state.visited->size());
   }
-  result.first_stuck = std::move(fold.first_stuck);
-  if (fold.violation) {
-    result.violation = std::move(fold.violation);
-    result.violating_trace = std::move(fold.violating_trace);
-  } else {
-    // Exhaustion shows as an unfinished unit or an unfinished walk, so
-    // `complete` needs no separate exhaustion flag (and cannot be
-    // spuriously false when the budget exactly equals the tree size).
-    result.complete = finished && !fold.unfinished;
-  }
+  // Exhaustion shows as an unfinished unit or an unfinished walk, so
+  // `complete` needs no separate exhaustion flag (and cannot be spuriously
+  // false when the budget exactly equals the tree size).
+  result.complete = !result.violation && finished && !fold.unfinished;
   if (opts.shrink_violations && result.violation) {
     result.violating_trace =
         Explorer::shrink(body, std::move(result.violating_trace));
   }
   if (checkpointing) {
-    save_snapshot(opts.checkpoint_path, snapshot_of_result(opts, result));
+    ExplorerSnapshot final_snapshot = proto;
+    final_snapshot.done = true;
+    final_snapshot.result = result;
+    save_snapshot(opts.checkpoint_path, final_snapshot);
   }
   return result;
 }
@@ -1139,7 +1040,7 @@ int Explorer::resolve_threads(int threads) noexcept {
 
 Explorer::Result Explorer::explore(const ExecutionBody& body, Options opts) {
   validate_options(opts);
-  return explore_impl(body, opts, {}, nullptr);
+  return explore_impl(body, opts, {}, {});
 }
 
 Explorer::Result Explorer::resume(const ExecutionBody& body,
@@ -1158,13 +1059,13 @@ Explorer::Result Explorer::resume(const ExecutionBody& body,
                    "max_crashes, max_recoveries, step_quota, reduction and "
                    "stateful must match)");
   }
-  if (snap.done || opts.max_executions - snap.executions <= 0) {
+  if (snap.done || opts.max_executions - snap.result.executions <= 0) {
     // Finished searches (and watermarks that already spent the whole
     // budget) resume to their saved Result without re-running anything.
-    return result_from_snapshot(snap);
+    return std::move(snap.result);
   }
-  std::vector<Decision> prefix = snap.prefix;
-  return explore_impl(body, opts, std::move(prefix), &snap);
+  return explore_impl(body, opts, std::move(snap.prefix),
+                      std::move(snap.result));
 }
 
 void Explorer::replay(const ExecutionBody& body,

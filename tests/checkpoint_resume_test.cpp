@@ -9,11 +9,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,10 +30,37 @@
 namespace subc {
 namespace {
 
-// Checkpoint files land in the test's working directory (the build tree).
-std::string temp_path(const std::string& name) { return name; }
+// A fresh directory for checkpoint files, removed with everything in it
+// when the owner goes out of scope, on every path out of a test.
+class TempDir {
+ public:
+  TempDir() {
+    std::string pattern =
+        (std::filesystem::temp_directory_path() / "subc_ckpt_XXXXXX").string();
+    if (mkdtemp(pattern.data()) == nullptr) {
+      throw std::runtime_error("mkdtemp failed for " + pattern);
+    }
+    dir_ = pattern;
+  }
+  ~TempDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(dir_, ignored);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
 
-void remove_file(const std::string& path) { std::remove(path.c_str()); }
+  [[nodiscard]] std::string path(const std::string& name) const {
+    return (dir_ / name).string();
+  }
+
+ private:
+  std::filesystem::path dir_;
+};
+
+void write_file(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::trunc);
+  out << text;
+}
 
 bool file_exists(const std::string& path) {
   return std::ifstream(path).good();
@@ -59,8 +89,10 @@ ExecutionBody clean_body() {
 }
 
 // A seeded-violation world: the classic lost update. Each process reads the
-// shared counter and writes back the value plus one; schedules where the
-// reads overlap lose an increment, and the body flags exactly those.
+// shared counter and writes back the value plus one. The body flags only the
+// schedules where all three reads precede every write (the counter ends at
+// 1): the raw search meets the first of them at its ninth execution, after
+// several periodic snapshots, so a kill can land before the violation.
 ExecutionBody lost_update_body() {
   return [](ScheduleDriver& driver) {
     Runtime rt;
@@ -72,7 +104,7 @@ ExecutionBody lost_update_body() {
       });
     }
     rt.run(driver);
-    if (counter.peek() != 3) {
+    if (counter.peek() == 1) {
       throw SpecViolation("lost update: counter ended at " +
                           to_string(counter.peek()));
     }
@@ -125,18 +157,36 @@ class KillPoint final : public TraceObserver {
   std::atomic<std::int64_t> runs_{0};
 };
 
-void run_kill_and_resume(const ExecutionBody& body, Explorer::Options opts,
-                         const std::string& tag) {
+/// Counts the worlds a search builds: every run it begins, cut or not.
+class WorldCount final : public TraceObserver {
+ public:
+  void on_run_begin(int /*num_processes*/) override {
+    worlds.fetch_add(1, std::memory_order_relaxed);
+  }
+  std::atomic<std::int64_t> worlds{0};
+};
+
+// Kills a checkpointed campaign at several points, resumes each captured
+// snapshot and compares with the uninterrupted Result, which it returns.
+Explorer::Result run_kill_and_resume(const ExecutionBody& body,
+                                     Explorer::Options opts,
+                                     const std::string& tag) {
   Explorer::Options plain = opts;
   plain.checkpoint_path.clear();
-  plain.observer = nullptr;
+  WorldCount count;
+  plain.observer = &count;
   const auto uninterrupted = Explorer::explore(body, plain);
 
-  for (const std::int64_t kill_at : {3L, 11L, 29L}) {
-    const std::string cp = temp_path("subc_ckpt_" + tag + ".jsonl");
-    const std::string keep = temp_path("subc_ckpt_" + tag + "_keep.jsonl");
-    remove_file(cp);
-    remove_file(keep);
+  // Kill points spread over the first two thirds of the uninterrupted run's
+  // worlds, from the third on: a snapshot comes every second event, so one
+  // is on disk by then.
+  const std::int64_t worlds = count.worlds.load();
+  int resumes = 0;
+  for (int i = 0; i < 3; ++i) {
+    const std::int64_t kill_at = 3 + (worlds - 3) * i / 3;
+    const TempDir dir;
+    const std::string cp = dir.path("campaign.jsonl");
+    const std::string keep = dir.path("campaign_keep.jsonl");
 
     Explorer::Options interrupted = opts;
     interrupted.checkpoint_path = cp;
@@ -145,18 +195,16 @@ void run_kill_and_resume(const ExecutionBody& body, Explorer::Options opts,
     interrupted.observer = &killer;
     Explorer::explore(body, interrupted);
 
-    // A snapshot may not have been written yet at very early kill points
-    // (nothing on disk = the campaign restarts from scratch, trivially
-    // identical); only resume when the kill actually captured one.
+    // No snapshot on disk at the kill point means the campaign restarts
+    // from scratch, trivially identical; only resume when the kill
+    // captured one (the count below requires most kill points to).
     if (!file_exists(keep)) {
       continue;
     }
+    ++resumes;
     // "Crash": the captured mid-run snapshot becomes the file a restarted
     // campaign finds.
-    {
-      std::ofstream out(cp, std::ios::trunc);
-      out << read_file(keep);
-    }
+    write_file(cp, read_file(keep));
     const ExplorerSnapshot snap = load_snapshot(cp);
     EXPECT_FALSE(snap.done) << tag << " kill_at=" << kill_at;
 
@@ -170,10 +218,9 @@ void run_kill_and_resume(const ExecutionBody& body, Explorer::Options opts,
     // and resumes to the same Result without re-running anything.
     const auto reloaded = Explorer::resume(body, cp, resumed_opts);
     expect_same_result(reloaded, uninterrupted, tag + " reloaded");
-
-    remove_file(cp);
-    remove_file(keep);
   }
+  EXPECT_GE(resumes, 2) << tag << ": " << worlds << " worlds";
+  return uninterrupted;
 }
 
 TEST(CheckpointResume, CleanWorldSerial) {
@@ -190,14 +237,16 @@ TEST(CheckpointResume, CleanWorldParallel) {
 TEST(CheckpointResume, SeededViolationSerial) {
   Explorer::Options opts;
   opts.reduction = Reduction::kNone;  // keep the violating tree broad
-  run_kill_and_resume(lost_update_body(), opts, "viol_serial");
+  EXPECT_FALSE(run_kill_and_resume(lost_update_body(), opts, "viol_serial")
+                   .ok());
 }
 
 TEST(CheckpointResume, SeededViolationParallel) {
   Explorer::Options opts;
   opts.reduction = Reduction::kNone;
   opts.threads = 4;
-  run_kill_and_resume(lost_update_body(), opts, "viol_par");
+  EXPECT_FALSE(
+      run_kill_and_resume(lost_update_body(), opts, "viol_par").ok());
 }
 
 TEST(CheckpointResume, CrashExplorationCampaignResumes) {
@@ -269,8 +318,8 @@ TEST(CheckpointResume, ParallelWatermarkKeepsTheUnitCutsReductions) {
       }
     }
   };
-  const std::string cp = temp_path("subc_ckpt_watermark.jsonl");
-  remove_file(cp);
+  const TempDir dir;
+  const std::string cp = dir.path("watermark.jsonl");
   Snapshots snapshots;
   snapshots.path = cp;
   Explorer::Options checkpointed = opts;
@@ -294,12 +343,11 @@ TEST(CheckpointResume, ParallelWatermarkKeepsTheUnitCutsReductions) {
                              std::to_string(threads) + " threads");
     }
   }
-  remove_file(cp);
 }
 
 TEST(CheckpointResume, FinishedSnapshotResumesWithoutRerunning) {
-  const std::string cp = temp_path("subc_ckpt_done.jsonl");
-  remove_file(cp);
+  const TempDir dir;
+  const std::string cp = dir.path("done.jsonl");
   Explorer::Options opts;
   opts.checkpoint_path = cp;
   std::atomic<std::int64_t> bodies{0};
@@ -315,12 +363,11 @@ TEST(CheckpointResume, FinishedSnapshotResumesWithoutRerunning) {
   const auto again = Explorer::resume(counted, cp, opts);
   expect_same_result(again, first, "finished resume");
   EXPECT_EQ(bodies.load(), ran) << "resume of a finished snapshot re-ran";
-  remove_file(cp);
 }
 
 TEST(CheckpointResume, ResumeRejectsOptionMismatch) {
-  const std::string cp = temp_path("subc_ckpt_mismatch.jsonl");
-  remove_file(cp);
+  const TempDir dir;
+  const std::string cp = dir.path("mismatch.jsonl");
   Explorer::Options opts;
   opts.checkpoint_path = cp;
   Explorer::explore(clean_body(), opts);
@@ -342,7 +389,6 @@ TEST(CheckpointResume, ResumeRejectsOptionMismatch) {
   other.threads = 4;
   const auto r = Explorer::resume(clean_body(), cp, other);
   EXPECT_TRUE(r.complete);
-  remove_file(cp);
 }
 
 TEST(CheckpointResume, DecisionStringsRoundTripIncludingCrashFlags) {
@@ -409,21 +455,23 @@ TEST(CheckpointResume, DecisionStringsCarryBacktrackLists) {
 }
 
 TEST(CheckpointResume, SnapshotFilesSurviveLoadSaveRoundTrip) {
-  const std::string cp = temp_path("subc_ckpt_roundtrip.jsonl");
+  const TempDir dir;
+  const std::string cp = dir.path("roundtrip.jsonl");
   ExplorerSnapshot snap;
   snap.max_executions = 1000;
   snap.max_crashes = 1;
   snap.max_recoveries = 1;
   snap.step_quota = 64;
   snap.reduction = true;
-  snap.executions = 123;
-  snap.pruned = 4;
-  snap.reduced = 56;
-  snap.crashed = 7;
-  snap.recovered = 3;
-  snap.stuck = 2;
-  snap.stuck_message = "stuck execution: step quota (64) exceeded";
-  snap.stuck_trace.push_back(ReplayDriver::Decision{1, 2, 0b11, 0, false});
+  snap.result.executions = 123;
+  snap.result.pruned_subtrees = 4;
+  snap.result.reduced_subtrees = 56;
+  snap.result.crashed_executions = 7;
+  snap.result.recovered_executions = 3;
+  snap.result.stuck_executions = 2;
+  snap.result.first_stuck =
+      StuckExecution{"stuck execution: step quota (64) exceeded",
+                     {ReplayDriver::Decision{1, 2, 0b11, 0, false}}};
   snap.prefix.push_back(ReplayDriver::Decision{0, 3, 0b111, 0b100, false});
   snap.prefix.push_back(ReplayDriver::Decision{1, 2, 0, 0, true});
   snap.prefix.push_back(ReplayDriver::Decision{1, 2, 0b1, 0, false, true});
@@ -434,18 +482,188 @@ TEST(CheckpointResume, SnapshotFilesSurviveLoadSaveRoundTrip) {
   EXPECT_EQ(loaded.max_recoveries, snap.max_recoveries);
   EXPECT_EQ(loaded.step_quota, snap.step_quota);
   EXPECT_EQ(loaded.reduction, snap.reduction);
-  EXPECT_EQ(loaded.executions, snap.executions);
-  EXPECT_EQ(loaded.pruned, snap.pruned);
-  EXPECT_EQ(loaded.reduced, snap.reduced);
-  EXPECT_EQ(loaded.crashed, snap.crashed);
-  EXPECT_EQ(loaded.recovered, snap.recovered);
-  EXPECT_EQ(loaded.stuck, snap.stuck);
+  EXPECT_EQ(loaded.result.executions, snap.result.executions);
+  EXPECT_EQ(loaded.result.pruned_subtrees, snap.result.pruned_subtrees);
+  EXPECT_EQ(loaded.result.reduced_subtrees, snap.result.reduced_subtrees);
+  EXPECT_EQ(loaded.result.crashed_executions, snap.result.crashed_executions);
+  EXPECT_EQ(loaded.result.recovered_executions,
+            snap.result.recovered_executions);
+  EXPECT_EQ(loaded.result.stuck_executions, snap.result.stuck_executions);
   EXPECT_FALSE(loaded.done);
-  EXPECT_EQ(loaded.stuck_message, snap.stuck_message);
-  EXPECT_EQ(encode_decisions(loaded.stuck_trace),
-            encode_decisions(snap.stuck_trace));
+  ASSERT_TRUE(loaded.result.first_stuck.has_value());
+  EXPECT_EQ(loaded.result.first_stuck->message,
+            snap.result.first_stuck->message);
+  EXPECT_EQ(encode_decisions(loaded.result.first_stuck->trace),
+            encode_decisions(snap.result.first_stuck->trace));
   EXPECT_EQ(encode_decisions(loaded.prefix), encode_decisions(snap.prefix));
-  remove_file(cp);
+}
+
+// ---------------------------------------------------------------------------
+// The snapshot format, pinned by literal files: a campaign's snapshots must
+// stay loadable across releases, whatever shape the in-memory types take.
+// These tests go through the file and the public Result only.
+// ---------------------------------------------------------------------------
+
+ExecutionBody never_run_body() {
+  return [](ScheduleDriver& /*driver*/) {
+    ADD_FAILURE() << "resuming a finished snapshot ran the body";
+  };
+}
+
+TEST(CheckpointResume, GoldenSnapshotReproducesByteForByte) {
+  // Every count nonzero, a violation (with characters the writer escapes),
+  // a stuck diagnostic, and a prefix whose first decision is listed.
+  const std::string golden =
+      R"({"kind":"header","version":1,"max_executions":1000,"max_crashes":1,)"
+      R"("max_recoveries":1,"step_quota":64,"reduction":"sleep",)"
+      R"("stateful":true})"
+      "\n"
+      R"({"kind":"state","executions":123,"pruned":4,"reduced":56,)"
+      R"("crashed":7,"recovered":3,"stuck":2,"stateful_cuts":9,"done":true,)"
+      R"("complete":false,"violation":"lost \"update\":\tcounter ended at 1",)"
+      R"("violating_trace":"1/3/7/2/0/0/0/- 0/2/0/0/1/0/0/-",)"
+      R"("stuck_message":"stuck execution: step quota (64) exceeded",)"
+      R"("stuck_trace":"0/2/3/0/0/1/0/-",)"
+      R"("prefix":"2/3/7/0/0/0/1/02 1/2/3/0/0/0/0/-"})"
+      "\n";
+  const TempDir dir;
+  const std::string in = dir.path("golden.jsonl");
+  const std::string out = dir.path("golden_again.jsonl");
+  write_file(in, golden);
+  save_snapshot(out, load_snapshot(in));
+  EXPECT_EQ(read_file(out), golden);
+
+  Explorer::Options opts;
+  opts.max_executions = 1000;
+  opts.max_crashes = 1;
+  opts.max_recoveries = 1;
+  opts.step_quota = 64;
+  opts.stateful = true;
+  const Explorer::Result r = Explorer::resume(never_run_body(), in, opts);
+  EXPECT_EQ(r.executions, 123);
+  EXPECT_EQ(r.pruned_subtrees, 4);
+  EXPECT_EQ(r.reduced_subtrees, 56);
+  EXPECT_EQ(r.crashed_executions, 7);
+  EXPECT_EQ(r.recovered_executions, 3);
+  EXPECT_EQ(r.stuck_executions, 2);
+  EXPECT_EQ(r.stateful_cuts, 9);
+  EXPECT_EQ(r.stateful_states, 0);
+  EXPECT_FALSE(r.complete);
+  EXPECT_EQ(r.violation, "lost \"update\":\tcounter ended at 1");
+  EXPECT_EQ(encode_decisions(r.violating_trace),
+            "1/3/7/2/0/0/0/- 0/2/0/0/1/0/0/-");
+  ASSERT_TRUE(r.first_stuck.has_value());
+  EXPECT_EQ(r.first_stuck->message,
+            "stuck execution: step quota (64) exceeded");
+  EXPECT_EQ(encode_decisions(r.first_stuck->trace), "0/2/3/0/0/1/0/-");
+}
+
+TEST(CheckpointResume, LegacySnapshotReadsMissingFieldsAsZero) {
+  // Written before recovery branching and stateful search: no
+  // max_recoveries, stateful, recovered or stateful_cuts.
+  const std::string legacy =
+      R"({"kind":"header","version":1,"max_executions":500,"max_crashes":1,)"
+      R"("step_quota":0,"reduction":"none"})"
+      "\n"
+      R"({"kind":"state","executions":40,"pruned":0,"reduced":0,"crashed":12,)"
+      R"("stuck":0,"done":true,"complete":true,"prefix":""})"
+      "\n";
+  const TempDir dir;
+  const std::string cp = dir.path("legacy.jsonl");
+  write_file(cp, legacy);
+  Explorer::Options opts;
+  opts.max_executions = 500;
+  opts.max_crashes = 1;
+  opts.reduction = Reduction::kNone;
+  const Explorer::Result r = Explorer::resume(never_run_body(), cp, opts);
+  EXPECT_EQ(r.executions, 40);
+  EXPECT_EQ(r.crashed_executions, 12);
+  EXPECT_EQ(r.recovered_executions, 0);
+  EXPECT_EQ(r.stateful_cuts, 0);
+  EXPECT_TRUE(r.complete);
+  EXPECT_TRUE(r.ok());
+  // The absent echoes read as max_recoveries = 0 and stateful = false.
+  Explorer::Options other = opts;
+  other.max_recoveries = 1;
+  EXPECT_THROW(Explorer::resume(never_run_body(), cp, other), SimError);
+  other = opts;
+  other.stateful = true;
+  EXPECT_THROW(Explorer::resume(never_run_body(), cp, other), SimError);
+}
+
+TEST(CheckpointResume, MalformedDecisionTokensAreRejected) {
+  EXPECT_THROW(decode_decisions("0/2//0/0"), SimError);    // empty field
+  EXPECT_THROW(decode_decisions("0/2/-1/0/0"), SimError);  // signed
+  EXPECT_THROW(decode_decisions("0/2/+1/0/0"), SimError);
+  EXPECT_THROW(decode_decisions("0/2/3/ 1/0"), SimError);
+  // Out of range for the field: 32-bit chosen and arity, 64-bit masks.
+  EXPECT_THROW(decode_decisions("4294967297/2/3/0/0"), SimError);
+  EXPECT_THROW(decode_decisions("0/4294967298/0/0/0"), SimError);
+  EXPECT_THROW(decode_decisions("0/2/18446744073709551616/0/0"), SimError);
+  EXPECT_THROW(decode_decisions("0/2/3/0/0/0//-"), SimError);  // no explored
+  // The largest values each field holds still load.
+  const auto widest =
+      decode_decisions("0/4294967295/18446744073709551615/0/0/0/0/-");
+  ASSERT_EQ(widest.size(), 1u);
+  EXPECT_EQ(widest[0].arity, 4294967295u);
+  EXPECT_EQ(widest[0].enabled, 18446744073709551615u);
+}
+
+TEST(CheckpointResume, MalformedSnapshotCountsAreRejected) {
+  const std::string header =
+      R"({"kind":"header","version":1,"max_executions":5,"max_crashes":0,)"
+      R"("max_recoveries":0,"step_quota":0,"reduction":"none",)"
+      R"("stateful":false})";
+  const std::string state =
+      R"({"kind":"state","executions":0,"pruned":0,"reduced":0,"crashed":0,)"
+      R"("recovered":0,"stuck":0,"stateful_cuts":0,"done":false,)"
+      R"("complete":false,"prefix":""})";
+  const TempDir dir;
+  const std::string cp = dir.path("malformed.jsonl");
+  // `line` with the value of `key` replaced by `value`.
+  const auto with = [](std::string line, const std::string& key,
+                       const std::string& value) {
+    const std::string pat = "\"" + key + "\":";
+    const std::size_t at = line.find(pat) + pat.size();
+    line.replace(at, line.find_first_of(",}", at) - at, value);
+    return line;
+  };
+  const auto load = [&cp](const std::string& h, const std::string& s) {
+    write_file(cp, h + "\n" + s + "\n");
+    return load_snapshot(cp);
+  };
+  EXPECT_NO_THROW(load(header, state));
+  for (const char* key : {"executions", "pruned", "reduced", "crashed",
+                          "recovered", "stuck", "stateful_cuts"}) {
+    EXPECT_THROW(load(header, with(state, key, "-1")), SimError) << key;
+    EXPECT_THROW(load(header, with(state, key, "")), SimError) << key;
+    EXPECT_THROW(load(header, with(state, key, "9223372036854775808")),
+                 SimError)
+        << key;
+  }
+  for (const char* key :
+       {"max_executions", "max_crashes", "max_recoveries", "step_quota"}) {
+    EXPECT_THROW(load(with(header, key, "-1"), state), SimError) << key;
+  }
+  // Only a finished search records a violation.
+  std::string violating = state;
+  violating.insert(violating.find(R"(,"prefix")"),
+                   R"(,"violation":"x","violating_trace":"")");
+  EXPECT_THROW(load(header, violating), SimError);
+  EXPECT_NO_THROW(load(header, with(violating, "done", "true")));
+  // Echoes held in an int must fit one.
+  EXPECT_THROW(load(with(header, "max_crashes", "4294967296"), state),
+               SimError);
+  EXPECT_THROW(load(with(header, "max_recoveries", "2147483648"), state),
+               SimError);
+
+  // A negative watermark must not resume: it would hand the search more
+  // budget than `max_executions` and report a count it never ran.
+  write_file(cp, header + "\n" + with(state, "executions", "-40") + "\n");
+  Explorer::Options opts;
+  opts.max_executions = 5;
+  opts.reduction = Reduction::kNone;
+  EXPECT_THROW(Explorer::resume(clean_body(), cp, opts), SimError);
 }
 
 TEST(CheckpointResume, CheckpointedSerialSearchBuildsOneWorldPerExecution) {
@@ -469,8 +687,8 @@ TEST(CheckpointResume, CheckpointedSerialSearchBuildsOneWorldPerExecution) {
     }
     rt.run(driver);
   };
-  const std::string cp = temp_path("subc_ckpt_one_world.jsonl");
-  remove_file(cp);
+  const TempDir dir;
+  const std::string cp = dir.path("one_world.jsonl");
   ProgressTicker ticker(/*period_seconds=*/1e9, nullptr);
   Explorer::Options opts;
   opts.checkpoint_path = cp;
@@ -483,7 +701,6 @@ TEST(CheckpointResume, CheckpointedSerialSearchBuildsOneWorldPerExecution) {
   const auto snap = ticker.snapshot();
   EXPECT_EQ(snap.executions, result.executions);
   EXPECT_EQ(snap.runs, result.executions);
-  remove_file(cp);
 }
 
 // ---------------------------------------------------------------------------

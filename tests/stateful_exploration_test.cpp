@@ -294,7 +294,7 @@ TEST(StatefulExploration, CheckpointFollowsColdRestartRule) {
   // The snapshot must echo the stateful flag and carry the cut tally.
   const ExplorerSnapshot snap = load_snapshot(path);
   EXPECT_TRUE(snap.stateful);
-  EXPECT_EQ(snap.stateful_cuts, first.stateful_cuts);
+  EXPECT_EQ(snap.result.stateful_cuts, first.stateful_cuts);
 
   // Resuming a finished stateful search returns the saved Result verbatim.
   const auto resumed = Explorer::resume(body, path, opts);
