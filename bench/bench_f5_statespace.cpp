@@ -13,8 +13,8 @@
 // Each cell is explored three ways: unreduced serial, reduced serial, and
 // reduced parallel; the two reduced runs must agree bit-for-bit (executions
 // and reduced_subtrees), all three must reach the same verdict, and the
-// per-cell reduction factor (unreduced/reduced executions) and speedups are
-// reported.
+// console reports each cell's reduction factor (unreduced/reduced
+// executions) and speedups.
 // Series 2: Wing–Gong checker time versus history length for maximally
 // concurrent 1sWRN histories (everything overlaps everything).
 // Series 3: stateful exploration — the same grid machinery at
@@ -24,8 +24,8 @@
 // (fiber vs stepped).
 //
 // Results are also written to BENCH_F5.json (per-cell execution counts for
-// both reduction settings, reduction factor, serial and parallel times,
-// speedups, thread count).
+// both reduction settings, serial and parallel times, speedups, thread
+// count).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -349,7 +349,6 @@ int main() {
         .set("executions_unreduced", cell.executions_unreduced)
         .set("executions_reduced", cell.executions_reduced)
         .set("reduced_subtrees", cell.reduced_subtrees)
-        .set("reduction_factor", factor)
         .set("complete", cell.complete)
         .set("counts_match", cell.counts_match)
         .set("verdict_match", cell.verdict_match)
@@ -423,9 +422,6 @@ int main() {
   const double headline_ms = headline_sw.ms();
   const auto ticker_snap = ticker.snapshot();
   searched += headline;
-  // Measured on this cell immediately before the allocation-free-hot-path
-  // overhaul landed; kept so the artifact records the before/after pair.
-  const double pre_overhaul_rate = 110310.0;
   subc_bench::Json headline_cell;
   headline_cell.set("world", "reads").set("procs", 4).set("steps", 3);
   subc_bench::set_rate_fields(headline_cell, headline.executions,
@@ -434,18 +430,13 @@ int main() {
       headline_ms > 0
           ? 1000.0 * static_cast<double>(headline.executions) / headline_ms
           : 0.0;
-  headline_cell.set("executions_per_sec_pre_overhaul", pre_overhaul_rate)
-      .set("speedup_vs_pre_overhaul", headline_rate / pre_overhaul_rate)
-      .set("ticker_executions_per_sec", ticker_snap.executions_per_sec)
-      .set("ticker_reduction_factor", ticker_snap.reduction_factor)
+  headline_cell.set("ticker_executions_per_sec", ticker_snap.executions_per_sec)
       .set("ticker_violations", ticker_snap.violations);
   ok = ok && headline.complete && ticker_snap.executions == headline.executions;
   std::printf("\nheadline cell (reads, 4 procs x 3 steps, unreduced serial): "
-              "%lld executions in %.1f ms = %.0f exec/s (pre-overhaul "
-              "%.0f exec/s, %.2fx)\n",
+              "%lld executions in %.1f ms = %.0f exec/s\n",
               static_cast<long long>(headline.executions), headline_ms,
-              headline_rate,
-              pre_overhaul_rate, headline_rate / pre_overhaul_rate);
+              headline_rate);
 
   // The same headline grid point on the stepped execution engine: no stack
   // switches, state blocks arena-carved. The execution count must match the
@@ -474,10 +465,7 @@ int main() {
       .set("executions_match_fiber",
            stepped_headline.executions == headline.executions)
       .set("speedup_vs_fiber",
-           headline_rate > 0 ? stepped_headline_rate / headline_rate : 0.0)
-      .set("executions_per_sec_pre_overhaul", pre_overhaul_rate)
-      .set("speedup_vs_pre_overhaul",
-           stepped_headline_rate / pre_overhaul_rate);
+           headline_rate > 0 ? stepped_headline_rate / headline_rate : 0.0);
   ok = ok && stepped_headline.complete &&
        stepped_headline.executions == headline.executions;
   std::printf("stepped headline cell (same grid point, stepped engine): "
@@ -658,7 +646,6 @@ int main() {
       .set("parallel_speedup", overall_parallel_speedup)
       .set("executions_unreduced", total_executions_unreduced)
       .set("executions_reduced", total_executions_reduced)
-      .set("execution_reduction_factor", overall_factor)
       .set("cells_at_2x", cells_at_2x)
       .set("cells_total", total_cells)
       .set("series1", series1)

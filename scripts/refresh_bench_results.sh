@@ -5,16 +5,25 @@
 #   scripts/refresh_bench_results.sh          run every bench binary, write
 #                                             bench-results/BENCH_*.json
 #   scripts/refresh_bench_results.sh --check  regenerate into a temp dir and
-#                                             diff *structure* against
-#                                             bench-results/: a missing
-#                                             artifact, an artifact with no
-#                                             surviving bench, or a changed
-#                                             JSON key set fails loudly
+#                                             diff against bench-results/: a
+#                                             missing artifact, an artifact
+#                                             with no surviving bench, a
+#                                             changed JSON key set or a
+#                                             changed search tally fails
+#                                             loudly
 #
-# Values (timings, rates) legitimately vary run to run, so --check compares
-# the sorted key sets of each artifact, not the values: that is exactly the
-# staleness that bites — a bench grew or renamed fields and the committed
-# artifact silently kept the old schema.
+# Timings and rates legitimately vary run to run, so --check compares the
+# sorted key sets of each artifact: a bench grew or renamed fields and the
+# committed artifact silently kept the old schema. The tallies of complete
+# searches do not vary (the explorer's counts are deterministic at any
+# thread count), so every nested `search` cell (set_search_tally in
+# bench/bench_util.hpp) must also equal the committed one exactly: a stale
+# artifact or a change that moves a count fails. Excluded by name, with the
+# reason:
+#   BENCH_F5.json search  the top-level cell sums series 3's parallel
+#                         stateful searches, whose split of executions and
+#                         cuts depends on worker timing
+SEARCH_EXCLUDED="BENCH_F5.json:search"
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -54,6 +63,29 @@ print("\n".join(sorted(out)))
 EOF
 }
 
+# Every nested `search` cell of artifact $2 (named $1), one sorted line
+# each: "<path> <cell as JSON>", minus the cells SEARCH_EXCLUDED names.
+search_cells() {
+  python3 - "$1" "$2" "${SEARCH_EXCLUDED}" <<'EOF'
+import json, sys
+name, path, excluded = sys.argv[1], sys.argv[2], set(sys.argv[3].split())
+def cells(prefix, v, out):
+    if isinstance(v, dict):
+        for k, vv in v.items():
+            if k == "search" and f"{name}:{prefix}{k}" not in excluded:
+                out.append(f"{prefix}{k} {json.dumps(vv, sort_keys=True)}")
+            cells(f"{prefix}{k}.", vv, out)
+    elif isinstance(v, list):
+        for i, vv in enumerate(v):
+            cells(f"{prefix}[{i}].", vv, out)
+with open(path) as f:
+    data = json.load(f)
+out = []
+cells("", data, out)
+print("\n".join(sorted(out)))
+EOF
+}
+
 if [[ "${CHECK}" == "1" ]]; then
   TMP="$(mktemp -d)"
   trap 'rm -rf "${TMP}"' EXIT
@@ -74,6 +106,13 @@ if [[ "${CHECK}" == "1" ]]; then
     if ! diff <(key_set "${committed}") <(key_set "${fresh}") >/dev/null; then
       echo "refresh-bench: STALE — ${committed} key set drifted:" >&2
       diff <(key_set "${committed}") <(key_set "${fresh}") | sed 's/^/  /' >&2 || true
+      FAIL=1
+    fi
+    if ! diff <(search_cells "${name}" "${committed}") \
+              <(search_cells "${name}" "${fresh}") >/dev/null; then
+      echo "refresh-bench: STALE — ${committed} search tallies differ (< committed, > fresh):" >&2
+      diff <(search_cells "${name}" "${committed}") \
+           <(search_cells "${name}" "${fresh}") | sed 's/^/  /' >&2 || true
       FAIL=1
     fi
   done

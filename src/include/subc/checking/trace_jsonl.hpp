@@ -26,16 +26,13 @@
 //   {"ev":"run_end","steps":17,"quiescent":true}
 // ⊥ values travel as the INT64_MIN integer. The parser is written for this
 // writer's output: fields it does not know are ignored, malformed lines
-// throw `SimError`.
+// and numbers that are not strict decimals in range throw `SimError`.
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <ostream>
 #include <span>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -46,67 +43,6 @@
 
 namespace subc {
 
-namespace jsonl_detail {
-
-inline void append_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-inline void append_values(std::string& out, std::span<const Value> vs) {
-  out += '[';
-  for (std::size_t i = 0; i < vs.size(); ++i) {
-    if (i) {
-      out += ',';
-    }
-    out += std::to_string(vs[i]);
-  }
-  out += ']';
-}
-
-inline const char* kind_name(AccessKind kind) {
-  switch (kind) {
-    case AccessKind::kRead:
-      return "read";
-    case AccessKind::kWrite:
-      return "write";
-    case AccessKind::kRmw:
-      return "rmw";
-    case AccessKind::kChoose:
-      return "choose";
-    case AccessKind::kUnknown:
-      break;
-  }
-  return "unknown";
-}
-
-}  // namespace jsonl_detail
-
 /// Streams every observed event to `out` as JSON lines. Thread-safe: lines
 /// from concurrent workers interleave whole, never mid-line — which is also
 /// why each event is rendered into one string before the single write.
@@ -114,81 +50,21 @@ class JsonlTraceWriter final : public TraceObserver {
  public:
   explicit JsonlTraceWriter(std::ostream& out) : out_(&out) {}
 
-  void on_run_begin(int num_processes) override {
-    write("{\"ev\":\"run_begin\",\"procs\":" + std::to_string(num_processes) +
-          "}");
-  }
-
-  void on_step(const StepEvent& event) override {
-    std::string line = "{\"ev\":\"step\",\"pid\":" + std::to_string(event.pid) +
-                       ",\"step\":" + std::to_string(event.step) +
-                       ",\"obj\":" + std::to_string(event.access.object) +
-                       ",\"kind\":\"";
-    line += jsonl_detail::kind_name(event.access.kind);
-    line += "\"}";
-    write(line);
-  }
-
-  void on_choose(int pid, std::uint32_t arity, std::uint32_t chosen) override {
-    write("{\"ev\":\"choose\",\"pid\":" + std::to_string(pid) +
-          ",\"arity\":" + std::to_string(arity) +
-          ",\"chosen\":" + std::to_string(chosen) + "}");
-  }
-
-  void on_crash(int pid, std::int64_t step) override {
-    write("{\"ev\":\"crash\",\"pid\":" + std::to_string(pid) +
-          ",\"step\":" + std::to_string(step) + "}");
-  }
-
-  void on_recover(int pid, std::int64_t step) override {
-    write("{\"ev\":\"recover\",\"pid\":" + std::to_string(pid) +
-          ",\"step\":" + std::to_string(step) + "}");
-  }
-
+  void on_run_begin(int num_processes) override;
+  void on_step(const StepEvent& event) override;
+  void on_choose(int pid, std::uint32_t arity, std::uint32_t chosen) override;
+  void on_crash(int pid, std::int64_t step) override;
+  void on_recover(int pid, std::int64_t step) override;
   void on_invoke(int pid, std::size_t handle, std::int64_t time,
-                 std::span<const Value> op) override {
-    std::string line = "{\"ev\":\"invoke\",\"pid\":" + std::to_string(pid) +
-                       ",\"handle\":" + std::to_string(handle) +
-                       ",\"t\":" + std::to_string(time) + ",\"op\":";
-    jsonl_detail::append_values(line, op);
-    line += '}';
-    write(line);
-  }
-
+                 std::span<const Value> op) override;
   void on_respond(int pid, std::size_t handle, std::int64_t time,
-                  std::span<const Value> response) override {
-    std::string line = "{\"ev\":\"respond\",\"pid\":" + std::to_string(pid) +
-                       ",\"handle\":" + std::to_string(handle) +
-                       ",\"t\":" + std::to_string(time) + ",\"resp\":";
-    jsonl_detail::append_values(line, response);
-    line += '}';
-    write(line);
-  }
-
-  void on_violation(std::string_view message) override {
-    std::string line = "{\"ev\":\"violation\",\"msg\":\"";
-    jsonl_detail::append_escaped(line, message);
-    line += "\"}";
-    write(line);
-  }
-
-  void on_stuck(std::string_view message) override {
-    std::string line = "{\"ev\":\"stuck\",\"msg\":\"";
-    jsonl_detail::append_escaped(line, message);
-    line += "\"}";
-    write(line);
-  }
-
-  void on_run_end(std::int64_t total_steps, bool quiescent) override {
-    write("{\"ev\":\"run_end\",\"steps\":" + std::to_string(total_steps) +
-          ",\"quiescent\":" + (quiescent ? "true" : "false") + "}");
-  }
+                  std::span<const Value> response) override;
+  void on_violation(std::string_view message) override;
+  void on_stuck(std::string_view message) override;
+  void on_run_end(std::int64_t total_steps, bool quiescent) override;
 
  private:
-  void write(const std::string& line) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    *out_ << line << '\n';
-  }
+  void write(const std::string& line);
 
   std::mutex mu_;
   std::ostream* out_;
@@ -232,213 +108,20 @@ struct ParsedTrace {
   bool quiescent = false;        ///< from the last run_end
 };
 
-namespace jsonl_detail {
-
-/// Extracts the number following `"key":` in `line`; `found=false` (and 0)
-/// when the key is absent.
-inline std::int64_t int_field(std::string_view line, std::string_view key,
-                              bool& found) {
-  const std::string pat = "\"" + std::string(key) + "\":";
-  const std::size_t at = line.find(pat);
-  if (at == std::string_view::npos) {
-    found = false;
-    return 0;
-  }
-  found = true;
-  return std::strtoll(line.data() + at + pat.size(), nullptr, 10);
-}
-
-inline std::int64_t int_field_or_throw(std::string_view line,
-                                       std::string_view key) {
-  bool found = false;
-  const std::int64_t v = int_field(line, key, found);
-  if (!found) {
-    throw SimError("parse_trace_jsonl: missing field \"" + std::string(key) +
-                   "\" in: " + std::string(line));
-  }
-  return v;
-}
-
-/// Extracts the string following `"key":"` up to the closing quote,
-/// unescaping the writer's escapes.
-inline std::string string_field(std::string_view line, std::string_view key) {
-  const std::string pat = "\"" + std::string(key) + "\":\"";
-  const std::size_t at = line.find(pat);
-  if (at == std::string_view::npos) {
-    throw SimError("parse_trace_jsonl: missing field \"" + std::string(key) +
-                   "\" in: " + std::string(line));
-  }
-  std::string out;
-  for (std::size_t i = at + pat.size(); i < line.size(); ++i) {
-    const char c = line[i];
-    if (c == '"') {
-      return out;
-    }
-    if (c != '\\') {
-      out += c;
-      continue;
-    }
-    if (++i >= line.size()) {
-      break;
-    }
-    switch (line[i]) {
-      case 'n':
-        out += '\n';
-        break;
-      case 't':
-        out += '\t';
-        break;
-      case 'r':
-        out += '\r';
-        break;
-      case 'u':
-        if (i + 4 < line.size()) {
-          out += static_cast<char>(
-              std::strtol(std::string(line.substr(i + 1, 4)).c_str(), nullptr,
-                          16));
-          i += 4;
-        }
-        break;
-      default:
-        out += line[i];  // \" and \\ (and anything else, verbatim)
-    }
-  }
-  throw SimError("parse_trace_jsonl: unterminated string in: " +
-                 std::string(line));
-}
-
-/// Extracts the `[v1,v2,...]` array following `"key":`; more values than a
-/// history tuple holds (`ValueTuple::kCapacity`) throw `SimError`.
-inline ValueTuple tuple_field(std::string_view line, std::string_view key) {
-  const std::string pat = "\"" + std::string(key) + "\":[";
-  const std::size_t at = line.find(pat);
-  if (at == std::string_view::npos) {
-    throw SimError("parse_trace_jsonl: missing field \"" + std::string(key) +
-                   "\" in: " + std::string(line));
-  }
-  Value values[ValueTuple::kCapacity] = {};
-  std::size_t n = 0;
-  const char* p = line.data() + at + pat.size();
-  const char* end = line.data() + line.size();
-  while (p < end && *p != ']') {
-    if (n == ValueTuple::kCapacity) {
-      throw SimError("parse_trace_jsonl: more than " +
-                     std::to_string(ValueTuple::kCapacity) + " values in \"" +
-                     std::string(key) + "\" of: " + std::string(line));
-    }
-    char* after = nullptr;
-    values[n++] = std::strtoll(p, &after, 10);
-    if (after == p) {
-      throw SimError("parse_trace_jsonl: bad value array in: " +
-                     std::string(line));
-    }
-    p = after;
-    if (p < end && *p == ',') {
-      ++p;
-    }
-  }
-  return ValueTuple(std::span<const Value>(values, n));
-}
-
-/// The integer field `key` of an invoke or respond line, which must lie in
-/// [0, `limit`). A handle is an index into its source History, so it stays
-/// below the number of invoke events read so far; a time `"t"` is its
-/// History's clock, which ticks once per invoke and respond, so it stays
-/// below the number of both read so far (this line's included in each).
-inline std::int64_t bounded_field(std::string_view line, std::string_view key,
-                                  std::int64_t limit) {
-  const std::int64_t v = int_field_or_throw(line, key);
-  if (v < 0 || v >= limit) {
-    throw SimError("parse_trace_jsonl: \"" + std::string(key) + "\" " +
-                   std::to_string(v) + " outside [0, " +
-                   std::to_string(limit) + ") in: " + std::string(line));
-  }
-  return v;
-}
-
-}  // namespace jsonl_detail
-
 /// Parses a JSONL trace produced by `JsonlTraceWriter`. History entries are
 /// rebuilt by matching respond events to invoke events via their handles
 /// (handles are per-source-History; traces interleaving several histories
 /// merge into one, which is what the renderer wants anyway). The trace is
-/// outside input, so indices and sizes are checked before use: a handle or
-/// time `"t"` outside the range its history could have produced (see
-/// `bounded_field`; the writer must have been attached before its
-/// history's first invoke), a response timed before its invocation, and an
-/// op or response of more than `ValueTuple::kCapacity` values throw
+/// outside input, so indices and sizes are checked before use. A pid, step
+/// or step count must be an unsigned decimal in range, and op and response
+/// values signed ones. A handle indexes its source History, so it stays
+/// below the number of invoke events read so far; a time `"t"` is its
+/// History's clock, which ticks once per invoke and respond, so it stays
+/// below the number of both read so far (this line's included in each;
+/// the writer must have been attached before its history's first invoke).
+/// A value outside these ranges, a response timed before its invocation,
+/// and an op or response of more than `ValueTuple::kCapacity` values throw
 /// `SimError`.
-inline ParsedTrace parse_trace_jsonl(const std::string& text) {
-  namespace jd = jsonl_detail;
-  ParsedTrace out;
-  // source handle -> index in out.history (parallel to HistoryRecorder).
-  std::vector<std::size_t> handle_map;
-  std::int64_t invokes = 0;
-  std::int64_t events = 0;  // invokes and responds
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) {
-      continue;
-    }
-    const std::string ev = jd::string_field(line, "ev");
-    if (ev == "run_begin") {
-      ++out.runs;
-    } else if (ev == "step") {
-      ++out.steps;
-    } else if (ev == "choose") {
-      ++out.chooses;
-    } else if (ev == "crash") {
-      ++out.crashes;
-      out.crash_events.push_back(
-          CrashEvent{static_cast<int>(jd::int_field_or_throw(line, "pid")),
-                     jd::int_field_or_throw(line, "step")});
-    } else if (ev == "recover") {
-      ++out.recoveries;
-      out.recover_events.push_back(
-          RecoverEvent{static_cast<int>(jd::int_field_or_throw(line, "pid")),
-                       jd::int_field_or_throw(line, "step")});
-    } else if (ev == "invoke") {
-      HistoryEntry e;
-      e.pid = static_cast<int>(jd::int_field_or_throw(line, "pid"));
-      e.invoked_at = jd::bounded_field(line, "t", ++events);
-      e.op = jd::tuple_field(line, "op");
-      const auto handle = static_cast<std::size_t>(
-          jd::bounded_field(line, "handle", ++invokes));
-      if (handle_map.size() <= handle) {
-        handle_map.resize(handle + 1, static_cast<std::size_t>(-1));
-      }
-      handle_map[handle] = out.history.restore(std::move(e));
-    } else if (ev == "respond") {
-      const auto handle =
-          static_cast<std::size_t>(jd::bounded_field(line, "handle", invokes));
-      if (handle >= handle_map.size() ||
-          handle_map[handle] == static_cast<std::size_t>(-1)) {
-        throw SimError("parse_trace_jsonl: respond without invoke: " + line);
-      }
-      // Completing a restored entry: rebuild it in place with the recorded
-      // response and timestamp.
-      HistoryEntry e = out.history.entries()[handle_map[handle]];
-      e.response = jd::tuple_field(line, "resp");
-      e.responded_at = jd::bounded_field(line, "t", ++events);
-      if (e.responded_at <= e.invoked_at) {
-        throw SimError("parse_trace_jsonl: response before its invocation: " +
-                       line);
-      }
-      out.history.amend(handle_map[handle], std::move(e));
-    } else if (ev == "violation") {
-      out.violations.push_back(jd::string_field(line, "msg"));
-    } else if (ev == "stuck") {
-      out.stuck.push_back(jd::string_field(line, "msg"));
-    } else if (ev == "run_end") {
-      out.total_steps = jd::int_field_or_throw(line, "steps");
-      out.quiescent = line.find("\"quiescent\":true") != std::string::npos;
-    } else {
-      throw SimError("parse_trace_jsonl: unknown event \"" + ev +
-                     "\" in: " + line);
-    }
-  }
-  return out;
-}
+ParsedTrace parse_trace_jsonl(const std::string& text);
 
 }  // namespace subc

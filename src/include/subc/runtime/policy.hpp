@@ -13,19 +13,24 @@
 //    each of which skips the process the base schedule would have run.
 //    The schedule space grows polynomially in d, so small delay budgets
 //    cover "almost-deterministic" bug patterns cheaply.
+//  * `PolicyDecorator` — the base of every decorator: it forwards all
+//    `SchedulePolicy` hooks to the wrapped policy, so a decorator overrides
+//    only what it adds and drops nothing by omission.
 //  * `CrashAdversary` — a decorator composing a crash-failure model over
 //    any policy: up to f processes die at adversary-chosen points, either
 //    from an explicit plan ("kill pid 2 after its 5th step") or at seeded-
-//    random decision points. Replaces the one-off crash harness that tests
-//    previously hand-rolled against the kernel.
+//    random decision points, and may restart by the same two models.
+//    Replaces the one-off crash harness that tests previously hand-rolled
+//    against the kernel.
 //  * `RecordingPolicy` — a transparent decorator journaling every decision
-//    (grants, object choices, crashes) so two runs can be compared for
-//    bit-identical behaviour; this is how the seed-determinism tests pin
-//    RandomDriver and PctPolicy.
+//    (grants, object choices, crashes, restarts) so two runs can be
+//    compared for bit-identical behaviour; this is how the
+//    seed-determinism tests pin RandomDriver and PctPolicy.
 //
 // docs/adversaries.md catalogues every policy with its guarantees.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <random>
 #include <span>
@@ -113,11 +118,46 @@ class DelayBoundedPolicy final : public SchedulePolicy {
   int delays_used_ = 0;
 };
 
-/// Crash-failure adversary over an arbitrary inner policy. Scheduling and
-/// object choices are delegated (a `kCut` answer passes through, and
-/// `on_fault` and `stopped` are forwarded); the
-/// decorator only answers `crash_requests` (injecting at most `f` crashes
-/// per run) and, when a restart model is attached, `recovery_requests`
+/// Forwards every `SchedulePolicy` hook to the policy it wraps. Decorators
+/// derive from it and override only what they add (calling the base for the
+/// inner answer), so no hook is dropped by omission.
+class PolicyDecorator : public SchedulePolicy {
+ public:
+  explicit PolicyDecorator(SchedulePolicy& inner) : inner_(&inner) {}
+
+  std::size_t pick(std::span<const int> enabled,
+                   std::span<const Access> footprints = {}) override {
+    return inner_->pick(enabled, footprints);
+  }
+  std::uint32_t choose(std::uint32_t arity) override {
+    return inner_->choose(arity);
+  }
+  std::uint64_t crash_requests(std::span<const int> enabled) override {
+    return inner_->crash_requests(enabled);
+  }
+  std::uint64_t recovery_requests(std::span<const int> crashed) override {
+    return inner_->recovery_requests(crashed);
+  }
+  bool wants_recovery() const override { return inner_->wants_recovery(); }
+  void begin_run() override { inner_->begin_run(); }
+  bool wants_state_fp() const override { return inner_->wants_state_fp(); }
+  void on_state_fp(std::uint64_t fp, bool valid) override {
+    inner_->on_state_fp(fp, valid);
+  }
+  void on_run_fp(std::uint64_t fp, bool valid) override {
+    inner_->on_run_fp(fp, valid);
+  }
+  void on_fault() override { inner_->on_fault(); }
+  bool stopped() const override { return inner_->stopped(); }
+
+ private:
+  SchedulePolicy* inner_;
+};
+
+/// Crash-failure adversary over an arbitrary inner policy. Every hook is
+/// forwarded (`PolicyDecorator`; a `kCut` answer passes through); the
+/// decorator adds to `crash_requests` (injecting at most `f` crashes per
+/// run) and, when a restart model is attached, `recovery_requests`
 /// (restarting crashed processes at adversary-chosen later points).
 ///
 /// Two fault models:
@@ -138,7 +178,11 @@ class DelayBoundedPolicy final : public SchedulePolicy {
 ///  * seeded random — each crashed process restarts with probability
 ///    `recover_prob` at each decision point, until `max_recoveries` have
 ///    landed (set via `set_random_recovery`).
-class CrashAdversary final : public SchedulePolicy {
+///
+/// Stateful search is off under it (`wants_state_fp` is false): its grant
+/// counts, fired plan entries and PRNG streams decide future faults but are
+/// not in the world fingerprint, so a visited-set cut would be unsound.
+class CrashAdversary final : public PolicyDecorator {
  public:
   struct CrashPoint {
     int victim = -1;
@@ -172,13 +216,12 @@ class CrashAdversary final : public SchedulePolicy {
 
   std::size_t pick(std::span<const int> enabled,
                    std::span<const Access> footprints = {}) override;
-  std::uint32_t choose(std::uint32_t arity) override;
   std::uint64_t crash_requests(std::span<const int> enabled) override;
   std::uint64_t recovery_requests(std::span<const int> crashed) override;
   [[nodiscard]] bool wants_recovery() const override;
   void begin_run() override;
-  void on_fault() override { inner_->on_fault(); }
-  [[nodiscard]] bool stopped() const override { return inner_->stopped(); }
+  /// False whatever the inner policy wants: see the class comment.
+  [[nodiscard]] bool wants_state_fp() const override { return false; }
 
   /// Attaches a targeted restart plan. Validated with the same rigor as the
   /// crash plan: a victim outside [0, 64), a negative `after_steps`, or a
@@ -194,40 +237,59 @@ class CrashAdversary final : public SchedulePolicy {
                            double recover_prob);
 
   /// Crashes injected in the current (or last) run.
-  [[nodiscard]] int crashes_injected() const noexcept { return injected_; }
+  [[nodiscard]] int crashes_injected() const noexcept {
+    return crash_.injected;
+  }
 
   /// Recoveries injected in the current (or last) run.
   [[nodiscard]] int recoveries_injected() const noexcept {
-    return recoveries_injected_;
+    return restart_.injected;
   }
 
  private:
-  SchedulePolicy* inner_;
-  std::vector<CrashPoint> plan_;
-  std::vector<bool> fired_;      ///< per plan entry
-  std::vector<std::int64_t> grants_;  ///< pid -> steps granted so far
+  /// One fault kind's model, crashes or restarts: the targeted plan and the
+  /// seeded random model, with what they injected in the current run.
+  struct FaultModel {
+    struct Entry {
+      int victim;
+      std::int64_t after_steps;
+      bool fired;
+    };
+    std::vector<Entry> plan;
+    std::uint64_t seed = 0;
+    std::mt19937_64 rng;
+    int budget = 0;  ///< random faults land while fewer have (f, restarts)
+    double prob = 0.0;
+    bool random = false;
+    int injected = 0;
+
+    /// Attaches the random model; a negative budget or a probability
+    /// outside [0, 1] throws `SimError` naming the argument.
+    void set_random(std::uint64_t seed, int budget, double prob,
+                    const char* budget_name, const char* prob_name);
+    void begin_run();  ///< re-arms the plan, reseeds the random model
+  };
+
+  /// Adds to `mask` the armed plan entries of `model` whose victim is among
+  /// `candidates` and whose `clock(victim)` reached `after_steps`, then the
+  /// random model's draws over the candidates not yet in `mask`.
+  template <class Clock>
+  std::uint64_t fire(FaultModel& model, std::uint64_t mask,
+                     std::span<const int> candidates, Clock clock);
+
+  /// pid -> steps granted so far; plan victims are below 64.
+  std::array<std::int64_t, 64> grants_{};
   std::int64_t total_grants_ = 0;     ///< all grants (recovery plan clock)
-  std::uint64_t seed_ = 0;
-  std::mt19937_64 rng_;
-  int budget_ = 0;  ///< f
-  double crash_prob_ = 0.0;
-  bool random_mode_ = false;
-  int injected_ = 0;
-  std::vector<RecoveryPoint> recovery_plan_;
-  std::vector<bool> recovery_fired_;  ///< per recovery plan entry
-  std::uint64_t recovery_seed_ = 0;
-  std::mt19937_64 recovery_rng_;
-  int recovery_budget_ = 0;  ///< max restarts per run (random mode)
-  double recover_prob_ = 0.0;
-  bool random_recovery_ = false;
-  int recoveries_injected_ = 0;
+  FaultModel crash_;
+  FaultModel restart_;
 };
 
 /// Transparent decorator journaling every decision the inner policy makes.
-/// Attaching it never changes behaviour; `journal()` is the evidence. Used
+/// Attaching it never changes behaviour, stateful search included (every
+/// hook is forwarded, `PolicyDecorator`); `journal()` is the evidence. Used
 /// by the seed-determinism tests ("same seed => bit-identical decisions").
 /// A `kCut` answer is passed through and not journaled.
-class RecordingPolicy final : public SchedulePolicy {
+class RecordingPolicy final : public PolicyDecorator {
  public:
   struct Event {
     enum class Kind : std::uint8_t { kGrant, kChoose, kCrash, kRecover };
@@ -242,19 +304,19 @@ class RecordingPolicy final : public SchedulePolicy {
     friend bool operator==(const Event&, const Event&) = default;
   };
 
-  explicit RecordingPolicy(SchedulePolicy& inner) : inner_(&inner) {}
+  using PolicyDecorator::PolicyDecorator;
 
   std::size_t pick(std::span<const int> enabled,
                    std::span<const Access> footprints = {}) override;
   std::uint32_t choose(std::uint32_t arity) override;
-  std::uint64_t crash_requests(std::span<const int> enabled) override;
-  std::uint64_t recovery_requests(std::span<const int> crashed) override;
-  [[nodiscard]] bool wants_recovery() const override {
-    return inner_->wants_recovery();
+  std::uint64_t crash_requests(std::span<const int> enabled) override {
+    return journal_faults(Event::Kind::kCrash,
+                          PolicyDecorator::crash_requests(enabled));
   }
-  void begin_run() override;
-  void on_fault() override { inner_->on_fault(); }
-  [[nodiscard]] bool stopped() const override { return inner_->stopped(); }
+  std::uint64_t recovery_requests(std::span<const int> crashed) override {
+    return journal_faults(Event::Kind::kRecover,
+                          PolicyDecorator::recovery_requests(crashed));
+  }
 
   [[nodiscard]] const std::vector<Event>& journal() const noexcept {
     return journal_;
@@ -268,7 +330,9 @@ class RecordingPolicy final : public SchedulePolicy {
   [[nodiscard]] std::string format_journal() const;
 
  private:
-  SchedulePolicy* inner_;
+  /// Journals one `kind` event per pid in `mask`; returns `mask`.
+  std::uint64_t journal_faults(Event::Kind kind, std::uint64_t mask);
+
   std::vector<Event> journal_;
 };
 

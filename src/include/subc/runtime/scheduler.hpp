@@ -6,10 +6,11 @@
 //  * object nondeterminism — the choice a nondeterministic base object makes
 //    inside a step (e.g. which element of its value set an (n,k)-set-
 //    consensus object returns), and
-//  * fault injection — which processes crash, and when (`crash_requests`;
-//    most policies have no fault model and inherit the no-crash default —
-//    the crash-adversary decorator in policy.hpp composes one over any
-//    policy).
+//  * fault injection — which processes crash and restart, and when
+//    (`crash_requests`, `recovery_requests`; most policies have no fault
+//    model and inherit the no-fault default — the crash-adversary
+//    decorator in policy.hpp composes one over any policy, and every
+//    decorator there forwards all hooks through `PolicyDecorator`).
 // All three are adversarial in the papers' model, so one policy object
 // supplies them all. The exhaustive explorer (explorer.hpp) enumerates every
 // decision string; this header provides the round-robin, seeded-random,
@@ -26,6 +27,7 @@
 // partial-order reduction recognise commuting steps (docs/explorer.md).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -268,16 +270,12 @@ class ReplayDriver final : public SchedulePolicy {
     /// without reduction, and for any pid >= 64 (reduction disabled there).
     std::uint64_t enabled = 0;
     std::uint64_t sleep = 0;
-    /// True for crash decisions (`crash_requests` branch points): option 0
-    /// is "no crash", option i >= 1 crashes the i-th candidate victim. The
-    /// flag travels with the trace so replay re-derives the fault without
-    /// knowing the recording run's crash budget.
+    /// Fault decisions: `crash` marks a `crash_requests` branch point,
+    /// `recover` a `recovery_requests` one. Option 0 is "no fault", option
+    /// i >= 1 crashes (restarts) the i-th candidate victim, enabled (crashed)
+    /// pids in increasing order. The flags travel with the trace, so replay
+    /// re-derives the fault without knowing the recording run's budget.
     bool crash = false;
-    /// True for recovery decisions (`recovery_requests` branch points):
-    /// option 0 is "no restart", option i >= 1 restarts the i-th candidate
-    /// (crashed pids in increasing order). Travels with the trace exactly
-    /// like `crash`, so replay re-derives the restart without knowing the
-    /// recording run's recovery budget.
     bool recover = false;
     /// Source sets: the backtrack list, option indices in insertion order
     /// (the search visits them in that order). `listed == 0` means full
@@ -312,17 +310,23 @@ class ReplayDriver final : public SchedulePolicy {
   std::size_t pick(std::span<const int> enabled,
                    std::span<const Access> footprints = {}) override;
   std::uint32_t choose(std::uint32_t arity) override;
-  std::uint64_t crash_requests(std::span<const int> enabled) override;
-  std::uint64_t recovery_requests(std::span<const int> crashed) override;
+  std::uint64_t crash_requests(std::span<const int> enabled) override {
+    return fault_due(crashes_, &Decision::crash)
+               ? fault(crashes_, &Decision::crash, enabled)
+               : 0;
+  }
+  std::uint64_t recovery_requests(std::span<const int> crashed) override {
+    return fault_due(recoveries_, &Decision::recover)
+               ? fault(recoveries_, &Decision::recover, crashed)
+               : 0;
+  }
   void begin_run() override {
     if (steps_log_ != nullptr) {
       steps_log_->push_back(Step{});  // later runtimes step after earlier
     }
     sleep_ = 0;
-    crashes_run_ = 0;
-    crash_floor_ = 0;
-    recoveries_run_ = 0;
-    recovery_floor_ = 0;
+    crashes_.run = crashes_.floor = 0;
+    recoveries_.run = recoveries_.floor = 0;
   }
   [[nodiscard]] bool wants_state_fp() const override {
     return visited_ != nullptr;
@@ -332,15 +336,9 @@ class ReplayDriver final : public SchedulePolicy {
   /// recoveries must replay bit-identically even under a zero budget (the
   /// shrinker's probes rely on this).
   [[nodiscard]] bool wants_recovery() const override {
-    if (max_recoveries_ > 0) {
-      return true;
-    }
-    for (const Decision& d : trace_) {
-      if (d.recover) {
-        return true;
-      }
-    }
-    return false;
+    return recoveries_.max > 0 ||
+           std::any_of(trace_.begin(), trace_.end(),
+                       [](const Decision& d) { return d.recover; });
   }
   void on_state_fp(std::uint64_t fp, bool valid) override;
   void on_run_fp(std::uint64_t fp, bool valid) override;
@@ -395,20 +393,15 @@ class ReplayDriver final : public SchedulePolicy {
   /// True once a crash or restart landed in the execution (`on_fault`).
   [[nodiscard]] bool faulted() const noexcept { return faulted_; }
 
-  /// Makes crash failures a branch point: at every kernel decision point
-  /// where fewer than `f` crashes have landed in the current run, the tree
-  /// forks on "no crash" versus "crash candidate pid p" for every enabled
-  /// pid < 64. 0 (the default) disables fresh crash decisions; recorded
-  /// crash decisions in a replayed prefix are honored either way.
-  void set_max_crashes(int f) noexcept { max_crashes_ = f; }
-
-  /// Makes crash-recovery a branch point: at every kernel decision point
-  /// where at least one process is crashed and fewer than `r` restarts have
-  /// landed in the current run, the tree forks on "no restart" versus
-  /// "restart crashed pid p" for every crashed pid < 64. 0 (the default)
-  /// disables fresh recovery decisions; recorded recovery decisions in a
-  /// replayed prefix are honored either way.
-  void set_max_recoveries(int r) noexcept { max_recoveries_ = r; }
+  /// Make crash failures (`f`) and crash-recovery (`r`) branch points, by
+  /// one rule with a budget per kind: at every kernel decision point where
+  /// fewer faults of the kind than its budget have landed in the current
+  /// run, the tree forks on "no fault" versus faulting each candidate pid
+  /// < 64: every enabled pid for a crash, every crashed pid (when there is
+  /// one) for a restart. 0 (the default) disables fresh decisions of the
+  /// kind; recorded ones in a replayed prefix are honored either way.
+  void set_max_crashes(int f) noexcept { crashes_.max = f; }
+  void set_max_recoveries(int r) noexcept { recoveries_.max = r; }
 
   /// Per-execution watchdog: after `quota` scheduling decisions (`pick`
   /// calls, replayed prefix included) the driver throws `StuckCut` — a
@@ -431,18 +424,46 @@ class ReplayDriver final : public SchedulePolicy {
   [[nodiscard]] std::int64_t reduced() const noexcept { return reduced_; }
 
   /// Crashes landed over the driver's lifetime (all runs of the execution).
-  [[nodiscard]] std::int64_t crashes() const noexcept { return crashes_total_; }
+  [[nodiscard]] std::int64_t crashes() const noexcept { return crashes_.total; }
 
   /// Restarts landed over the driver's lifetime (all runs of the execution).
   [[nodiscard]] std::int64_t recoveries() const noexcept {
-    return recoveries_total_;
+    return recoveries_.total;
   }
 
   /// Why the execution was abandoned; `Cut::kNone` while it runs on.
   [[nodiscard]] Cut cut() const noexcept { return cut_; }
 
  private:
-  std::uint32_t next_choice(std::uint32_t arity);
+  /// One fault kind's branching state: crashes or restarts.
+  struct FaultBudget {
+    int max = 0;             ///< fresh faults allowed per run
+    int run = 0;             ///< faults landed in the current run
+    std::int64_t total = 0;  ///< faults landed over the driver's lifetime
+    /// Successive fault decisions at one kernel decision point enumerate
+    /// victims in increasing pid order (faults at the same point commute,
+    /// so unordered subsets would be explored twice). The floor is the pid
+    /// after the last victim; any granted step resets it.
+    int floor = 0;
+  };
+
+  /// The next object choice (`kind` null) or fault decision of `kind`, with
+  /// `arity >= 2` options: replayed from the prefix, or else recorded fresh
+  /// at option 0. `kCut` when a fresh one is cut.
+  std::uint32_t decide(std::uint32_t arity, bool Decision::*kind);
+  /// Whether the fault hook of `kind` decides here: not cut, and a replayed
+  /// decision of this kind or, past the prefix, room in the run's budget.
+  /// Inline, ahead of `fault`: the kernel asks before every grant.
+  [[nodiscard]] bool fault_due(const FaultBudget& b,
+                               bool Decision::*kind) const noexcept {
+    return cut_ == Cut::kNone &&
+           (pos_ < trace_.size() ? trace_[pos_].*kind : b.run < b.max);
+  }
+  /// The fault branch point behind `crash_requests` (`&Decision::crash`,
+  /// the enabled pids) and `recovery_requests` (`&Decision::recover`, the
+  /// crashed pids): the victim's bit, or 0 for "no fault".
+  std::uint64_t fault(FaultBudget& budget, bool Decision::*kind,
+                      std::span<const int> candidates);
   /// Marks where fresh steps begin once the last prefix decision is used.
   void note_prefix_used() noexcept {
     if (pos_ == trace_.size() && fresh_from_ == kUnset) {
@@ -469,20 +490,8 @@ class ReplayDriver final : public SchedulePolicy {
   std::size_t fresh_from_ = kUnset;
   std::uint64_t sleep_ = 0;
   std::int64_t reduced_ = 0;
-  int max_crashes_ = 0;
-  int crashes_run_ = 0;         ///< crashes landed in the current run
-  std::int64_t crashes_total_ = 0;
-  /// Successive crash decisions at one kernel decision point enumerate
-  /// victims in increasing pid order (crashes at the same point commute, so
-  /// unordered subsets would be explored twice). The floor is the pid after
-  /// the last victim; any granted step resets it.
-  int crash_floor_ = 0;
-  int max_recoveries_ = 0;
-  int recoveries_run_ = 0;  ///< restarts landed in the current run
-  std::int64_t recoveries_total_ = 0;
-  /// As crash_floor_, for recovery decisions: restarts at one decision
-  /// point enumerate candidates in increasing pid order.
-  int recovery_floor_ = 0;
+  FaultBudget crashes_;
+  FaultBudget recoveries_;
   std::int64_t step_quota_ = 0;
   std::int64_t steps_ = 0;
   detail::VisitedSet* visited_ = nullptr;

@@ -128,33 +128,48 @@ std::uint32_t DelayBoundedPolicy::choose(std::uint32_t arity) {
   return dist(rng_);
 }
 
-CrashAdversary::CrashAdversary(SchedulePolicy& inner,
-                               std::vector<CrashPoint> plan)
-    : inner_(&inner), plan_(std::move(plan)) {
+namespace {
+
+/// Validates a crash or restart plan (`what` names it in errors) and returns
+/// its entries armed: a victim outside [0, 64), a negative `after_steps` or
+/// a duplicate victim throws `SimError` naming the entry.
+template <class Entry, class Point>
+std::vector<Entry> armed_plan(const std::vector<Point>& plan,
+                              const std::string& what) {
+  std::vector<Entry> out;
+  out.reserve(plan.size());
   std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < plan_.size(); ++i) {
-    const CrashPoint& cp = plan_[i];
-    if (cp.victim < 0 || cp.victim >= 64) {
-      throw SimError("CrashAdversary: plan entry " + std::to_string(i) +
-                     " victim " + std::to_string(cp.victim) +
-                     " out of [0, 64)");
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    const Point& p = plan[i];
+    const std::string entry = what + " entry " + std::to_string(i);
+    if (p.victim < 0 || p.victim >= 64) {
+      throw SimError("CrashAdversary: " + entry + " victim " +
+                     std::to_string(p.victim) + " out of [0, 64)");
     }
-    if (cp.after_steps < 0) {
-      throw SimError("CrashAdversary: plan entry " + std::to_string(i) +
-                     " has negative after_steps " +
-                     std::to_string(cp.after_steps));
+    if (p.after_steps < 0) {
+      throw SimError("CrashAdversary: " + entry + " has negative after_steps " +
+                     std::to_string(p.after_steps));
     }
-    const std::uint64_t bit = std::uint64_t{1} << cp.victim;
+    const std::uint64_t bit = std::uint64_t{1} << p.victim;
     if ((seen & bit) != 0) {
-      // A process crashes at most once; a second entry for the same victim
-      // could never fire and would silently misrepresent the fault model.
+      // A process crashes at most once, so it restarts at most once; a
+      // second entry for the same victim could never fire and would
+      // silently misrepresent the fault model.
       throw SimError("CrashAdversary: duplicate victim " +
-                     std::to_string(cp.victim) + " in plan entry " +
-                     std::to_string(i));
+                     std::to_string(p.victim) + " in " + entry);
     }
     seen |= bit;
+    out.push_back({p.victim, p.after_steps, false});
   }
-  fired_.assign(plan_.size(), false);
+  return out;
+}
+
+}  // namespace
+
+CrashAdversary::CrashAdversary(SchedulePolicy& inner,
+                               std::vector<CrashPoint> plan)
+    : PolicyDecorator(inner) {
+  crash_.plan = armed_plan<FaultModel::Entry>(plan, "plan");
 }
 
 CrashAdversary::CrashAdversary(SchedulePolicy& inner,
@@ -163,8 +178,9 @@ CrashAdversary::CrashAdversary(SchedulePolicy& inner,
   if (f < 0) {
     throw SimError("CrashAdversary: f must be >= 0");
   }
-  if (plan_.size() > static_cast<std::size_t>(f)) {
-    throw SimError("CrashAdversary: plan has " + std::to_string(plan_.size()) +
+  if (crash_.plan.size() > static_cast<std::size_t>(f)) {
+    throw SimError("CrashAdversary: plan has " +
+                   std::to_string(crash_.plan.size()) +
                    " entries, exceeding the crash bound f = " +
                    std::to_string(f));
   }
@@ -172,184 +188,126 @@ CrashAdversary::CrashAdversary(SchedulePolicy& inner,
 
 CrashAdversary::CrashAdversary(SchedulePolicy& inner, std::uint64_t seed,
                                int f, double crash_prob)
-    : inner_(&inner),
-      seed_(seed),
-      rng_(seed),
-      budget_(f),
-      crash_prob_(crash_prob),
-      random_mode_(true) {
-  if (f < 0) {
-    throw SimError("CrashAdversary: f must be >= 0");
-  }
-  if (crash_prob < 0.0 || crash_prob > 1.0) {
-    throw SimError("CrashAdversary: crash_prob must be in [0, 1]");
-  }
+    : PolicyDecorator(inner) {
+  crash_.set_random(seed, f, crash_prob, "f", "crash_prob");
 }
 
 void CrashAdversary::set_recovery_plan(std::vector<RecoveryPoint> plan) {
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    const RecoveryPoint& rp = plan[i];
-    if (rp.victim < 0 || rp.victim >= 64) {
-      throw SimError("CrashAdversary: recovery plan entry " +
-                     std::to_string(i) + " victim " +
-                     std::to_string(rp.victim) + " out of [0, 64)");
-    }
-    if (rp.after_steps < 0) {
-      throw SimError("CrashAdversary: recovery plan entry " +
-                     std::to_string(i) + " has negative after_steps " +
-                     std::to_string(rp.after_steps));
-    }
-    const std::uint64_t bit = std::uint64_t{1} << rp.victim;
-    if ((seen & bit) != 0) {
-      // A process crashes at most once, so it restarts at most once; a
-      // second entry for the same victim could never fire and would
-      // silently misrepresent the restart model.
-      throw SimError("CrashAdversary: duplicate victim " +
-                     std::to_string(rp.victim) + " in recovery plan entry " +
-                     std::to_string(i));
-    }
-    seen |= bit;
-  }
-  recovery_plan_ = std::move(plan);
-  recovery_fired_.assign(recovery_plan_.size(), false);
+  restart_.plan = armed_plan<FaultModel::Entry>(plan, "recovery plan");
 }
 
 void CrashAdversary::set_random_recovery(std::uint64_t seed,
                                          int max_recoveries,
                                          double recover_prob) {
-  if (max_recoveries < 0) {
-    throw SimError("CrashAdversary: max_recoveries must be >= 0");
+  restart_.set_random(seed, max_recoveries, recover_prob, "max_recoveries",
+                      "recover_prob");
+}
+
+void CrashAdversary::FaultModel::set_random(std::uint64_t s, int b,
+                                            double p, const char* budget_name,
+                                            const char* prob_name) {
+  if (b < 0) {
+    throw SimError(std::string("CrashAdversary: ") + budget_name +
+                   " must be >= 0");
   }
-  if (recover_prob < 0.0 || recover_prob > 1.0) {
-    throw SimError("CrashAdversary: recover_prob must be in [0, 1]");
+  if (p < 0.0 || p > 1.0) {
+    throw SimError(std::string("CrashAdversary: ") + prob_name +
+                   " must be in [0, 1]");
   }
-  recovery_seed_ = seed;
-  recovery_budget_ = max_recoveries;
-  recover_prob_ = recover_prob;
-  random_recovery_ = true;
-  recovery_rng_.seed(seed);
+  seed = s;
+  rng.seed(s);
+  budget = b;
+  prob = p;
+  random = true;
+}
+
+void CrashAdversary::FaultModel::begin_run() {
+  for (Entry& e : plan) {
+    e.fired = false;
+  }
+  injected = 0;
+  if (random) {
+    rng.seed(seed);
+  }
 }
 
 void CrashAdversary::begin_run() {
-  inner_->begin_run();
-  fired_.assign(plan_.size(), false);
-  grants_.clear();
+  PolicyDecorator::begin_run();
+  grants_.fill(0);
   total_grants_ = 0;
-  injected_ = 0;
-  if (random_mode_) {
-    rng_.seed(seed_);
-  }
-  recovery_fired_.assign(recovery_plan_.size(), false);
-  recoveries_injected_ = 0;
-  if (random_recovery_) {
-    recovery_rng_.seed(recovery_seed_);
-  }
+  crash_.begin_run();
+  restart_.begin_run();
 }
 
 std::size_t CrashAdversary::pick(std::span<const int> enabled,
                                  std::span<const Access> footprints) {
-  const std::size_t idx = inner_->pick(enabled, footprints);
+  const std::size_t idx = PolicyDecorator::pick(enabled, footprints);
   if (idx == kCut) {
     return idx;  // nothing granted, nothing to count
   }
-  const auto pid = static_cast<std::size_t>(enabled[idx]);
-  if (grants_.size() <= pid) {
-    grants_.resize(pid + 1, 0);
+  if (const int pid = enabled[idx]; pid < 64) {
+    ++grants_[static_cast<std::size_t>(pid)];
   }
-  ++grants_[pid];
   ++total_grants_;
   return idx;
 }
 
-std::uint32_t CrashAdversary::choose(std::uint32_t arity) {
-  return inner_->choose(arity);
+template <class Clock>
+std::uint64_t CrashAdversary::fire(FaultModel& model, std::uint64_t mask,
+                                   std::span<const int> candidates,
+                                   Clock clock) {
+  for (FaultModel::Entry& e : model.plan) {
+    // An entry whose victim is no candidate (yet) stays armed.
+    if (!e.fired && clock(e.victim) >= e.after_steps &&
+        std::find(candidates.begin(), candidates.end(), e.victim) !=
+            candidates.end()) {
+      mask |= std::uint64_t{1} << e.victim;
+      e.fired = true;
+      ++model.injected;
+    }
+  }
+  // Random faults use whatever budget the plan left; without a random
+  // model the budget is 0 and nothing is drawn.
+  for (const int pid : candidates) {
+    if (pid >= 64 || model.injected >= model.budget) {
+      break;
+    }
+    const std::uint64_t bit = std::uint64_t{1} << pid;
+    if ((mask & bit) == 0 &&
+        std::bernoulli_distribution(model.prob)(model.rng)) {
+      mask |= bit;
+      ++model.injected;
+    }
+  }
+  return mask;
 }
 
 std::uint64_t CrashAdversary::crash_requests(std::span<const int> enabled) {
-  // Compose with any fault model the inner policy carries.
-  std::uint64_t mask = inner_->crash_requests(enabled);
-  for (std::size_t i = 0; i < plan_.size(); ++i) {
-    if (fired_[i]) {
-      continue;
-    }
-    const CrashPoint& cp = plan_[i];
-    const auto victim = static_cast<std::size_t>(cp.victim);
-    const std::int64_t taken = victim < grants_.size() ? grants_[victim] : 0;
-    if (taken < cp.after_steps) {
-      continue;
-    }
-    if (std::find(enabled.begin(), enabled.end(), cp.victim) ==
-        enabled.end()) {
-      continue;  // already done/hung/crashed; the plan entry stays armed
-    }
-    mask |= std::uint64_t{1} << victim;
-    fired_[i] = true;
-    ++injected_;
-  }
-  if (random_mode_) {
-    for (const int pid : enabled) {
-      if (pid >= 64 || injected_ >= budget_) {
-        break;
-      }
-      const std::uint64_t bit = std::uint64_t{1} << pid;
-      if ((mask & bit) != 0) {
-        continue;
-      }
-      if (std::bernoulli_distribution(crash_prob_)(rng_)) {
-        mask |= bit;
-        ++injected_;
-      }
-    }
-  }
-  return mask;
+  // Compose with any fault model the inner policy carries. A crash plan
+  // entry's clock is its victim's own grants; a victim already done, hung
+  // or crashed is no candidate.
+  return fire(crash_, PolicyDecorator::crash_requests(enabled), enabled,
+              [this](int victim) {
+                return grants_[static_cast<std::size_t>(victim)];
+              });
 }
 
 bool CrashAdversary::wants_recovery() const {
-  return !recovery_plan_.empty() || random_recovery_ ||
-         inner_->wants_recovery();
+  return !restart_.plan.empty() || restart_.random ||
+         PolicyDecorator::wants_recovery();
 }
 
 std::uint64_t CrashAdversary::recovery_requests(std::span<const int> crashed) {
-  // Compose with any restart model the inner policy carries.
-  std::uint64_t mask = inner_->recovery_requests(crashed);
-  for (std::size_t i = 0; i < recovery_plan_.size(); ++i) {
-    if (recovery_fired_[i]) {
-      continue;
-    }
-    const RecoveryPoint& rp = recovery_plan_[i];
-    if (total_grants_ < rp.after_steps) {
-      continue;
-    }
-    if (std::find(crashed.begin(), crashed.end(), rp.victim) ==
-        crashed.end()) {
-      continue;  // not crashed (yet); the plan entry stays armed
-    }
-    mask |= std::uint64_t{1} << static_cast<std::size_t>(rp.victim);
-    recovery_fired_[i] = true;
-    ++recoveries_injected_;
-  }
-  if (random_recovery_) {
-    for (const int pid : crashed) {
-      if (pid >= 64 || recoveries_injected_ >= recovery_budget_) {
-        break;
-      }
-      const std::uint64_t bit = std::uint64_t{1} << pid;
-      if ((mask & bit) != 0) {
-        continue;
-      }
-      if (std::bernoulli_distribution(recover_prob_)(recovery_rng_)) {
-        mask |= bit;
-        ++recoveries_injected_;
-      }
-    }
-  }
-  return mask;
+  // Compose with any restart model the inner policy carries. A restart plan
+  // entry's clock is everybody's grants (its victim takes no steps while
+  // crashed), and only a crashed victim is a candidate.
+  return fire(restart_, PolicyDecorator::recovery_requests(crashed), crashed,
+              [this](int /*victim*/) { return total_grants_; });
 }
 
 std::size_t RecordingPolicy::pick(std::span<const int> enabled,
                                   std::span<const Access> footprints) {
-  const std::size_t idx = inner_->pick(enabled, footprints);
+  const std::size_t idx = PolicyDecorator::pick(enabled, footprints);
   if (idx == kCut) {
     return idx;  // a cut is no decision: passed through, not journaled
   }
@@ -359,34 +317,22 @@ std::size_t RecordingPolicy::pick(std::span<const int> enabled,
 }
 
 std::uint32_t RecordingPolicy::choose(std::uint32_t arity) {
-  const std::uint32_t c = inner_->choose(arity);
+  const std::uint32_t c = PolicyDecorator::choose(arity);
   if (c != kCut) {
     journal_.push_back({Event::Kind::kChoose, c, arity});
   }
   return c;
 }
 
-std::uint64_t RecordingPolicy::crash_requests(std::span<const int> enabled) {
-  const std::uint64_t mask = inner_->crash_requests(enabled);
+std::uint64_t RecordingPolicy::journal_faults(Event::Kind kind,
+                                              std::uint64_t mask) {
   for (int pid = 0; pid < 64; ++pid) {
     if ((mask >> pid) & 1) {
-      journal_.push_back({Event::Kind::kCrash, pid, 0});
+      journal_.push_back({kind, pid, 0});
     }
   }
   return mask;
 }
-
-std::uint64_t RecordingPolicy::recovery_requests(std::span<const int> crashed) {
-  const std::uint64_t mask = inner_->recovery_requests(crashed);
-  for (int pid = 0; pid < 64; ++pid) {
-    if ((mask >> pid) & 1) {
-      journal_.push_back({Event::Kind::kRecover, pid, 0});
-    }
-  }
-  return mask;
-}
-
-void RecordingPolicy::begin_run() { inner_->begin_run(); }
 
 std::string RecordingPolicy::format_journal() const {
   std::ostringstream os;

@@ -245,6 +245,25 @@ void Runtime::advance(Proc& proc) {
   }
 }
 
+namespace {
+
+/// Lands a policy's fault `mask` on the `pids` it was asked about by `fault`
+/// (crash or recover), ignoring other bits (a policy may re-request an
+/// already-crashed pid forever) and pids >= 64; true when any landed.
+bool land(Runtime& rt, std::uint64_t mask, std::span<const int> pids,
+          void (Runtime::*fault)(int)) {
+  bool any = false;
+  for (const int pid : pids) {
+    if (pid < 64 && ((mask >> pid) & 1) != 0) {
+      (rt.*fault)(pid);
+      any = true;
+    }
+  }
+  return any;
+}
+
+}  // namespace
+
 Runtime::RunResult Runtime::run(ScheduleDriver& driver,
                                 std::int64_t max_steps) {
   if (started_) {
@@ -339,20 +358,10 @@ Runtime::RunResult Runtime::run(ScheduleDriver& driver,
           crashed_buf[num_crashed++] = pid;
         }
       }
-      if (const std::uint64_t revived = driver.recovery_requests(
-              std::span<const int>(crashed_buf, num_crashed));
-          revived != 0) {
-        bool any = false;
-        for (std::size_t i = 0; i < num_crashed; ++i) {
-          const int pid = crashed_buf[i];
-          if (pid < 64 && ((revived >> pid) & 1) != 0) {
-            recover(pid);
-            any = true;
-          }
-        }
-        if (any) {
-          continue;  // recompute the enabled set with the fresh incarnations
-        }
+      const std::span<const int> crashed(crashed_buf, num_crashed);
+      if (const std::uint64_t revived = driver.recovery_requests(crashed);
+          revived != 0 && land(*this, revived, crashed, &Runtime::recover)) {
+        continue;  // recompute the enabled set with the fresh incarnations
       }
     }
     if (enabled.empty()) {
@@ -362,21 +371,10 @@ Runtime::RunResult Runtime::run(ScheduleDriver& driver,
       break;
     }
     // Fault injection: consult the policy before the pick. Crashed pids are
-    // retired here, so the pick below only ever sees survivors. Bits for
-    // pids that are not enabled are ignored (guards against a policy that
-    // re-requests an already-crashed pid forever).
+    // retired here, so the pick below only ever sees survivors.
     if (const std::uint64_t doomed = driver.crash_requests(enabled);
-        doomed != 0) {
-      bool any = false;
-      for (const int pid : enabled) {
-        if (pid < 64 && ((doomed >> pid) & 1) != 0) {
-          crash(pid);
-          any = true;
-        }
-      }
-      if (any) {
-        continue;  // recompute the enabled set (it may now be empty)
-      }
+        doomed != 0 && land(*this, doomed, enabled, &Runtime::crash)) {
+      continue;  // recompute the enabled set (it may now be empty)
     }
     const std::size_t idx = driver.pick(enabled, footprints);
     if (idx == SchedulePolicy::kCut) {
@@ -539,14 +537,9 @@ void Runtime::refresh_commit_fp(const ObjectId& obj,
   if (!fp_on_ || obj.id_ == 0) {
     return;
   }
-  const std::size_t id = obj.id_;
-  if (fp_objects_.size() <= id) {
-    fp_objects_.resize(id + 1, 0);
-  }
-  fp_world_ ^= fp_objects_[id];
-  fp_objects_[id] =
-      detail::mix64(state_hash ^ detail::mix64(detail::kFpObjectSalt ^ id));
-  fp_world_ ^= fp_objects_[id];
+  const bool reported = fp_step_reported_;
+  fp_commit(obj.id_, state_hash);
+  fp_step_reported_ = reported;
 }
 
 std::int64_t Runtime::steps_of(int pid) const {

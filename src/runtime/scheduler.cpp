@@ -88,8 +88,7 @@ std::size_t ReplayDriver::pick(std::span<const int> enabled,
   }
   // A granted step ends the current crash/recovery decision point: the next
   // crash_requests / recovery_requests may target any pid again.
-  crash_floor_ = 0;
-  recovery_floor_ = 0;
+  crashes_.floor = recoveries_.floor = 0;
   const auto arity = static_cast<std::uint32_t>(enabled.size());
 
   // Reduction is active at this decision point only when footprints are
@@ -198,145 +197,54 @@ std::size_t ReplayDriver::pick(std::span<const int> enabled,
   return chosen;
 }
 
-std::uint64_t ReplayDriver::crash_requests(std::span<const int> enabled) {
-  // Crash branching: when the per-run crash budget is not exhausted, every
-  // kernel scheduling point forks on "no crash" (option 0) vs "crash the
-  // i-th candidate victim" (option i >= 1). The kernel re-consults this hook
-  // after each granted crash, so multi-crash sets build up one decision at a
-  // time; `crash_floor_` canonicalizes that chain to increasing pid order
-  // (crashes at the same point commute, so other orders are duplicates).
-  if (cut_ != Cut::kNone) {
-    return 0;
-  }
-  const bool replaying = pos_ < trace_.size();
-  if (replaying && !trace_[pos_].crash) {
-    // The recorded execution made no crash decision here (e.g. its budget
-    // was already spent, or the trace predates crash branching).
-    return 0;
-  }
-  if (!replaying && (max_crashes_ <= 0 || crashes_run_ >= max_crashes_)) {
-    return 0;
-  }
-
+std::uint64_t ReplayDriver::fault(FaultBudget& budget, bool Decision::*kind,
+                                  std::span<const int> candidates) {
+  // Fault branching: while the per-run budget lasts, every kernel decision
+  // point forks on "no fault" (option 0) vs "fault the i-th candidate"
+  // (option i >= 1). The kernel re-consults the hook after each landed
+  // fault, so multi-fault sets build up one decision at a time; the floor
+  // canonicalizes that chain to increasing pid order. A replayed decision
+  // of this kind is honored whatever the budget: the flag travels with the
+  // trace, so replay re-derives the fault without the recording run's
+  // budget (a trace that predates fault branching simply has none).
   int victims[64];
-  std::uint32_t candidates = 0;
-  for (const int pid : enabled) {
-    if (pid >= crash_floor_ && pid < 64) {
-      victims[candidates++] = pid;
+  std::uint32_t count = 0;
+  for (const int pid : candidates) {
+    if (pid >= budget.floor && pid < 64) {
+      victims[count++] = pid;
     }
   }
-  if (candidates == 0) {
-    // Forced "no crash": arity-1 decisions are elided, as in pick().
+  if (count == 0) {
+    // Forced "no fault": arity-1 decisions are elided, as in pick().
     return 0;
   }
-  const auto arity = candidates + 1;
-
-  std::uint32_t chosen = 0;
-  if (replaying) {
-    const Decision& d = trace_[pos_++];
-    SUBC_ASSERT(d.crash);
-    SUBC_ASSERT(d.arity == arity);
-    SUBC_ASSERT(d.chosen < arity);
-    chosen = d.chosen;
-    note_prefix_used();
-  } else {
-    if (trace_.size() >= limit_) {
-      raise_cut(Cut::kFrontier);
-      return 0;  // the cut lands at the next pick
-    }
-    // Fresh branch starts at "no crash"; advance() later bumps through the
-    // victims. Enabled/sleep masks stay 0: sleep-set reduction never skips a
-    // crash option (a sleeping process can still be crashed — its crash is
-    // dependent with its own pending step, which put it to sleep).
-    trace_.push_back(Decision{chosen, arity, 0, 0, /*crash=*/true});
-    ++pos_;
-    if (prune_ != nullptr && *prune_ && (*prune_)(trace_)) {
-      raise_cut(Cut::kPrune);  // lands at the next pick; chosen is "no crash"
-    }
-  }
-  if (chosen == 0) {
+  // A fresh branch starts at "no fault"; advance() later bumps through the
+  // victims. Enabled/sleep masks stay 0: sleep-set reduction never skips a
+  // fault option. A sleeping process can still be crashed (its crash is
+  // dependent with its own pending step, which put it to sleep), and a
+  // restart is a write on the restarted process (its whole volatile state
+  // is reborn), dependent with everything it will do. A cut lands at the
+  // next pick (or ends an idle run).
+  const std::uint32_t chosen = decide(count + 1, kind);
+  if (chosen == 0 || chosen == kCut) {
     return 0;
   }
   const int victim = victims[chosen - 1];
-  ++crashes_run_;
-  ++crashes_total_;
-  crash_floor_ = victim + 1;
-  // The sleep set is deliberately left untouched: a crash behaves as a write
-  // on the victim alone, independent of every *other* process's pending
-  // step, so sleepers stay asleep across it; the victim itself leaves the
-  // enabled set and is masked out of the sleep set at the next pick().
-  return std::uint64_t{1} << victim;
-}
-
-std::uint64_t ReplayDriver::recovery_requests(std::span<const int> crashed) {
-  // Recovery branching mirrors crash branching: when the per-run recovery
-  // budget is not exhausted and at least one process is crashed, the kernel
-  // decision point forks on "no restart" (option 0) vs "restart the i-th
-  // candidate" (option i >= 1). The kernel re-consults this hook after each
-  // granted restart, so multi-restart sets build up one decision at a time;
-  // `recovery_floor_` canonicalizes the chain to increasing pid order
-  // (restarts at the same point commute).
-  if (cut_ != Cut::kNone) {
-    return 0;
+  ++budget.run;
+  ++budget.total;
+  budget.floor = victim + 1;
+  const std::uint64_t bit = std::uint64_t{1} << victim;
+  // A crash leaves the sleep set untouched: it behaves as a write on the
+  // victim alone, independent of every *other* process's pending step, so
+  // sleepers stay asleep across it; the victim itself leaves the enabled
+  // set and is masked out of the sleep set at the next pick(). A restart
+  // wakes its pid: its rebirth is a write footprint on itself, so any sleep
+  // bit it held (from its *previous* incarnation's pending step) no longer
+  // proves its new steps redundant.
+  if (kind == &Decision::recover) {
+    sleep_ &= ~bit;
   }
-  const bool replaying = pos_ < trace_.size();
-  if (replaying && !trace_[pos_].recover) {
-    return 0;
-  }
-  if (!replaying &&
-      (max_recoveries_ <= 0 || recoveries_run_ >= max_recoveries_)) {
-    return 0;
-  }
-
-  int victims[64];
-  std::uint32_t candidates = 0;
-  for (const int pid : crashed) {
-    if (pid >= recovery_floor_ && pid < 64) {
-      victims[candidates++] = pid;
-    }
-  }
-  if (candidates == 0) {
-    // Forced "no restart": arity-1 decisions are elided, as in pick().
-    return 0;
-  }
-  const auto arity = candidates + 1;
-
-  std::uint32_t chosen = 0;
-  if (replaying) {
-    const Decision& d = trace_[pos_++];
-    SUBC_ASSERT(d.recover);
-    SUBC_ASSERT(d.arity == arity);
-    SUBC_ASSERT(d.chosen < arity);
-    chosen = d.chosen;
-    note_prefix_used();
-  } else {
-    if (trace_.size() >= limit_) {
-      raise_cut(Cut::kFrontier);
-      return 0;  // the cut lands at the next pick (or ends an idle run)
-    }
-    // Fresh branch starts at "no restart"; advance() later bumps through
-    // the candidates. Enabled/sleep masks stay 0: a recovery is a write on
-    // the restarted process (its whole volatile state is reborn), dependent
-    // with everything it will do — sleep-set reduction never skips one.
-    trace_.push_back(
-        Decision{chosen, arity, 0, 0, /*crash=*/false, /*recover=*/true});
-    ++pos_;
-    if (prune_ != nullptr && *prune_ && (*prune_)(trace_)) {
-      raise_cut(Cut::kPrune);  // lands at the next pick; chosen is "no restart"
-    }
-  }
-  if (chosen == 0) {
-    return 0;
-  }
-  const int victim = victims[chosen - 1];
-  ++recoveries_run_;
-  ++recoveries_total_;
-  recovery_floor_ = victim + 1;
-  // Wake the restarted pid: its rebirth is a write footprint on itself, so
-  // any sleep bit it held (from its *previous* incarnation's pending step)
-  // no longer proves its new steps redundant.
-  sleep_ &= ~(std::uint64_t{1} << victim);
-  return std::uint64_t{1} << victim;
+  return bit;
 }
 
 void ReplayDriver::on_state_fp(std::uint64_t fp, bool valid) {
@@ -378,17 +286,14 @@ std::uint32_t ReplayDriver::choose(std::uint32_t arity) {
   if (cut_ != Cut::kNone) {
     return 0;
   }
-  return next_choice(arity);
+  // Forced decision: elided, as in pick().
+  return arity == 1 ? 0 : decide(arity, nullptr);
 }
 
-std::uint32_t ReplayDriver::next_choice(std::uint32_t arity) {
-  if (arity == 1) {
-    // Forced decision: elided, as in pick().
-    return 0;
-  }
+std::uint32_t ReplayDriver::decide(std::uint32_t arity, bool Decision::*kind) {
   if (pos_ < trace_.size()) {
     const Decision& d = trace_[pos_++];
-    SUBC_ASSERT(!d.crash && !d.recover);
+    SUBC_ASSERT(kind != nullptr ? d.*kind : !d.crash && !d.recover);
     SUBC_ASSERT(d.arity == arity);
     SUBC_ASSERT(d.chosen < arity);
     note_prefix_used();
@@ -397,7 +302,8 @@ std::uint32_t ReplayDriver::next_choice(std::uint32_t arity) {
   if (trace_.size() >= limit_) {
     return raise_cut(Cut::kFrontier);
   }
-  trace_.push_back(Decision{0, arity, 0, 0});
+  trace_.push_back(Decision{0, arity, 0, 0, kind == &Decision::crash,
+                            kind == &Decision::recover});
   ++pos_;
   if (prune_ != nullptr && *prune_ && (*prune_)(trace_)) {
     return raise_cut(Cut::kPrune);

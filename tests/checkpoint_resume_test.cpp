@@ -19,6 +19,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "subc/checking/checkpoint.hpp"
@@ -664,6 +665,63 @@ TEST(CheckpointResume, MalformedSnapshotCountsAreRejected) {
   opts.max_executions = 5;
   opts.reduction = Reduction::kNone;
   EXPECT_THROW(Explorer::resume(clean_body(), cp, opts), SimError);
+}
+
+TEST(CheckpointResume, SnapshotFieldsAreReadStrictly) {
+  const std::string header =
+      R"({"kind":"header","version":1,"max_executions":5,"max_crashes":0,)"
+      R"("max_recoveries":0,"step_quota":0,"reduction":"none",)"
+      R"("stateful":false})";
+  const std::string state =
+      R"({"kind":"state","executions":0,"pruned":0,"reduced":0,"crashed":0,)"
+      R"("recovered":0,"stuck":0,"stateful_cuts":0,"done":false,)"
+      R"("complete":false,"prefix":""})";
+  const TempDir dir;
+  const std::string cp = dir.path("strict.jsonl");
+  // The message load_snapshot throws for header `h` and state line `s`.
+  const auto error = [&cp](const std::string& h, const std::string& s) {
+    write_file(cp, h + "\n" + s + "\n");
+    try {
+      load_snapshot(cp);
+    } catch (const SimError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const auto replaced = [](std::string line, const std::string& from,
+                           const std::string& to) {
+    line.replace(line.find(from), from.size(), to);
+    return line;
+  };
+  // Errors name the function that read the line: a state line without its
+  // prefix is load_snapshot's to report, not the trace parser's.
+  EXPECT_EQ(error(header, replaced(state, R"(,"prefix":"")", "")),
+            "load_snapshot: missing field \"prefix\" in: " +
+                replaced(state, R"(,"prefix":"")", ""));
+  EXPECT_EQ(error(header, replaced(state, R"("kind":"state",)", ""))
+                .rfind("load_snapshot: missing field \"kind\"", 0),
+            0u);
+  // A number is digits up to the end of its value, a flag true or false.
+  for (const auto& [from, to] :
+       std::vector<std::pair<std::string, std::string>>{
+           {R"("version":1)", R"("version":1x)"},
+           {R"("version":1)", R"("version":"1")"},
+           {R"("version":1)", R"("version":-1)"},
+           {R"("max_crashes":0)", R"("max_crashes":0.5)"},
+           {R"("stateful":false)", R"("stateful":maybe)"}}) {
+    const std::string message = error(replaced(header, from, to), state);
+    EXPECT_EQ(message.rfind("load_snapshot: ", 0), 0u) << to;
+  }
+  for (const auto& [from, to] :
+       std::vector<std::pair<std::string, std::string>>{
+           {R"("executions":0)", R"("executions":12x)"},
+           {R"("stuck":0)", R"("stuck":0 )"},
+           {R"("done":false)", R"("done":yes)"},
+           {R"("prefix":"")", R"("prefix":7)"}}) {
+    const std::string message = error(header, replaced(state, from, to));
+    EXPECT_EQ(message.rfind("load_snapshot: ", 0), 0u) << to;
+  }
+  EXPECT_EQ(error(header, state), "no error");
 }
 
 TEST(CheckpointResume, CheckpointedSerialSearchBuildsOneWorldPerExecution) {

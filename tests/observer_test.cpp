@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <sstream>
+#include <string>
 
 #include "subc/checking/trace_jsonl.hpp"
 #include "subc/checking/trace_viz.hpp"
@@ -644,6 +646,47 @@ TEST(TraceJsonl, ParserRejectsTimesOutOfRange) {
       parse_trace_jsonl(invoke_line("0", "[0,1]") + respond_line("0", "1"));
   ASSERT_EQ(parsed.history.entries().size(), 1u);
   EXPECT_EQ(parsed.history.entries()[0].responded_at, 1);
+}
+
+TEST(TraceJsonl, ParserReadsNumbersStrictly) {
+  // The message parse_trace_jsonl throws for `text`.
+  const auto error = [](const std::string& text) {
+    try {
+      parse_trace_jsonl(text);
+    } catch (const SimError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const ParsedTrace ok = parse_trace_jsonl(
+      "{\"ev\":\"crash\",\"pid\":2147483647,\"step\":7}\n"
+      "{\"ev\":\"run_end\",\"steps\":9223372036854775807,"
+      "\"quiescent\":true}\n" +
+      invoke_line("0", "[-9223372036854775808,9223372036854775807]"));
+  EXPECT_EQ(ok.crash_events.at(0).pid, 2147483647);
+  EXPECT_EQ(ok.total_steps, INT64_MAX);
+  EXPECT_EQ(ok.history.entries().at(0).op.front(), kBottom);
+  // Pids, steps and step counts are unsigned decimals in range: neither a
+  // string nor a sign nor an overflow reads as some number.
+  for (const std::string text : {
+           "{\"ev\":\"crash\",\"pid\":\"oops\",\"step\":7}",
+           "{\"ev\":\"crash\",\"pid\":99999999999999999999,\"step\":7}",
+           "{\"ev\":\"crash\",\"pid\":2147483648,\"step\":7}",
+           "{\"ev\":\"crash\",\"pid\":2,\"step\":-3}",
+           "{\"ev\":\"recover\",\"pid\":2,\"step\":-3}",
+           "{\"ev\":\"recover\",\"pid\":2,\"step\":3x}",
+           "{\"ev\":\"run_end\",\"steps\":-5,\"quiescent\":true}",
+           "{\"ev\":\"run_end\",\"steps\":5,\"quiescent\":yes}",
+       }) {
+    EXPECT_EQ(error(text).rfind("parse_trace_jsonl: ", 0), 0u) << text;
+  }
+  // Values may be negative, but must be int64 decimals.
+  for (const std::string op :
+       {"[99999999999999999999]", "[-9223372036854775809]", "[1x]", "[1,]",
+        "[--1]", "[+1]", "[1] "}) {
+    EXPECT_EQ(error(invoke_line("0", op)).rfind("parse_trace_jsonl: ", 0), 0u)
+        << op;
+  }
 }
 
 TEST(TraceJsonl, ParserRejectsTuplesAboveCapacity) {

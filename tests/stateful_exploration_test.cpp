@@ -7,6 +7,9 @@
 //     shrinks (stateful never hides a bug — soundness);
 //   - serial stateful searches are fully deterministic, and bench_f5's
 //     mixed 3x4 cell keeps its tenfold cut;
+//   - a decorator that forwards every hook (RecordingPolicy) keeps the
+//     search's cuts, and CrashAdversary, whose state the fingerprint does
+//     not see, takes none;
 //   - parallel stateful searches reach the same verdict as serial ones;
 //   - worlds stepping through objects that do not report fingerprints
 //     degrade to zero cuts (the poison rule), never to a wrong verdict;
@@ -25,6 +28,7 @@
 #include "subc/objects/register.hpp"
 #include "subc/objects/test_and_set.hpp"
 #include "subc/runtime/explorer.hpp"
+#include "subc/runtime/policy.hpp"
 #include "subc/runtime/runtime.hpp"
 
 namespace subc {
@@ -116,13 +120,12 @@ TEST(StatefulExploration, ConvergentWorldCutsAndAgreesWithStateless) {
   }
 }
 
-TEST(StatefulExploration, MixedGridCellKeepsItsTenfoldCut) {
-  // BENCH_F5's stateful headline cell: each of 3 processes alternates a
-  // write to its own register and one to a shared register, 4 steps each.
-  // A count, not a timing: sleep sets alone run 90 executions, sleep sets
-  // plus the visited set 9 — the factor of 10 bench_f5 reports as
-  // `best_mixed_factor`.
-  const ExecutionBody body = [](ScheduleDriver& driver) {
+// BENCH_F5's stateful headline cell: each of 3 processes alternates a write
+// to its own register and one to a shared register, 4 steps each. `run`
+// runs the world on the search's driver, directly or through a decorator.
+template <class Run>
+ExecutionBody mixed_grid_body(Run run) {
+  return [run](ScheduleDriver& driver) {
     Runtime rt;
     Register<> shared(0);
     RegisterArray<> own(3, 0);
@@ -137,14 +140,59 @@ TEST(StatefulExploration, MixedGridCellKeepsItsTenfoldCut) {
         }
       });
     }
-    rt.run(driver);
+    run(rt, driver);
   };
+}
+
+constexpr auto kOnDriver = [](Runtime& rt, ScheduleDriver& driver) {
+  rt.run(driver);
+};
+
+TEST(StatefulExploration, MixedGridCellKeepsItsTenfoldCut) {
+  // A count, not a timing: sleep sets alone run 90 executions, sleep sets
+  // plus the visited set 9 — the factor of 10 bench_f5 reports as
+  // `best_mixed_factor`.
+  const ExecutionBody body = mixed_grid_body(kOnDriver);
   const auto sleep = explore(body, /*stateful=*/false);
   const auto st = explore(body, /*stateful=*/true);
   EXPECT_TRUE(sleep.ok() && sleep.complete);
   EXPECT_TRUE(st.ok() && st.complete);
   EXPECT_EQ(sleep.executions, 90);
   EXPECT_EQ(st.executions, 9);
+}
+
+TEST(StatefulExploration, RecordingPolicyKeepsStatefulCuts) {
+  // RecordingPolicy forwards every hook (PolicyDecorator), stateful search
+  // included, so journaling the run changes no count of the search.
+  const auto direct = explore(mixed_grid_body(kOnDriver), /*stateful=*/true);
+  const auto recorded = explore(
+      mixed_grid_body([](Runtime& rt, ScheduleDriver& driver) {
+        RecordingPolicy recording(driver);
+        rt.run(recording);
+      }),
+      /*stateful=*/true);
+  for (const auto* r : {&direct, &recorded}) {
+    EXPECT_TRUE(r->ok() && r->complete);
+    EXPECT_EQ(r->executions, 9);
+    EXPECT_EQ(r->stateful_cuts, 87);
+    EXPECT_EQ(r->stateful_states, 240);
+  }
+}
+
+TEST(StatefulExploration, CrashAdversaryTurnsStatefulSearchOff) {
+  // CrashAdversary's grant counts, plan and PRNG streams are not in the
+  // world fingerprint, so it declines fingerprints: with an empty plan the
+  // stateful search takes no cut and runs sleep sets' 90 executions.
+  const auto r = explore(
+      mixed_grid_body([](Runtime& rt, ScheduleDriver& driver) {
+        CrashAdversary adversary(driver, {});
+        rt.run(adversary);
+      }),
+      /*stateful=*/true);
+  EXPECT_TRUE(r.ok() && r.complete);
+  EXPECT_EQ(r.executions, 90);
+  EXPECT_EQ(r.stateful_cuts, 0);
+  EXPECT_EQ(r.stateful_states, 0);
 }
 
 TEST(StatefulExploration, SerialSearchIsDeterministic) {
