@@ -27,7 +27,6 @@ struct Row {
   long worst_steps = 0;
   double mean_steps = 0;
   std::int64_t runs = 0;
-  double ms = 0;
   bool ok = true;
 };
 
@@ -43,7 +42,6 @@ Row measure(int k, FunctionFamily family, const char* name, int rounds,
   long total_steps = 0;
   long samples = 0;
   long worst = 0;
-  const subc_bench::Stopwatch sw;
   const auto result = RandomSweep::run(
       [&](ScheduleDriver& driver) {
         Runtime rt;
@@ -70,7 +68,6 @@ Row measure(int k, FunctionFamily family, const char* name, int rounds,
         }
       },
       rounds, 1, threads);
-  row.ms = sw.ms();
   row.runs = result.runs;
   row.ok = result.ok();
   row.worst_steps = worst;
@@ -102,9 +99,6 @@ int main() {
         .set("mean_steps", row.mean_steps)
         .set("worst_steps", static_cast<std::int64_t>(row.worst_steps))
         .set("runs", row.runs)
-        .set("ms", row.ms)
-        .set("runs_per_sec",
-             row.ms > 0 ? 1000.0 * static_cast<double>(row.runs) / row.ms : 0.0)
         .set("ok", row.ok);
     rows.push_back(json_row);
   };
@@ -118,8 +112,7 @@ int main() {
       "paper's all-functions family k^(2k-1); worst-case steps grow with\n"
       "|F| (a process that never meets a non-⊥ answer sweeps every round).\n");
   subc_bench::Json out;
-  out.set("bench", "F1").set("threads", threads).set("rows", rows).set(
-      "pass", ok);
+  out.set("bench", "F1").set("rows", rows).set("pass", ok);
   subc_bench::write_json("BENCH_F1.json", out);
   std::printf("\nF1 %s\n", ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;

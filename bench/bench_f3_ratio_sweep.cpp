@@ -92,7 +92,6 @@ int main() {
       "hierarchy of Corollary 42 is strict in k.\n");
   subc_bench::Json out;
   out.set("bench", "F3")
-      .set("threads", threads)
       .set("validated_cells", cells)
       .set("pass", ok);
   subc_bench::write_json("BENCH_F3.json", out);

@@ -23,15 +23,14 @@
 // at least one cell, and the serial stateful counts must be engine-identical
 // (fiber vs stepped).
 //
-// Results are also written to BENCH_F5.json (per-cell execution counts for
-// both reduction settings, serial and parallel times, speedups, thread
-// count).
+// Results are also written to BENCH_F5.json: per-cell execution counts for
+// every reduction setting and the agreement checks between them. Times and
+// speedups are printed only.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <iterator>
-#include <thread>
 
 #include "bench_util.hpp"
 #include "subc/algorithms/stepped_bodies.hpp"
@@ -186,9 +185,6 @@ struct StatefulCell {
   long long execs_stateful = 0;
   long long stateful_cuts = 0;
   long long stateful_states = 0;
-  double none_ms = 0;
-  double sleep_ms = 0;
-  double stateful_ms = 0;
   bool ok = false;  // verdicts + completeness agree across all six runs
   Explorer::Tally searched;  // summed over the six searches
 };
@@ -215,9 +211,7 @@ StatefulCell run_stateful_cell(World world, int procs, int steps,
   {
     Explorer::Options o = base;
     o.reduction = Reduction::kNone;
-    const subc_bench::Stopwatch sw;
     const auto serial = Explorer::explore(body, o);
-    cell.none_ms = sw.ms();
     cell.execs_none = serial.executions;
     fold(serial);
     o.threads = 4;
@@ -227,9 +221,7 @@ StatefulCell run_stateful_cell(World world, int procs, int steps,
   }
   {
     Explorer::Options o = base;
-    const subc_bench::Stopwatch sw;
     const auto serial = Explorer::explore(body, o);
-    cell.sleep_ms = sw.ms();
     cell.execs_sleep = serial.executions;
     fold(serial);
     o.threads = 4;
@@ -241,9 +233,7 @@ StatefulCell run_stateful_cell(World world, int procs, int steps,
     Explorer::Options o = base;
     o.stateful = true;
     o.stateful_capacity = capacity;
-    const subc_bench::Stopwatch sw;
     const auto serial = Explorer::explore(body, o);
-    cell.stateful_ms = sw.ms();
     cell.execs_stateful = serial.executions;
     cell.stateful_cuts = serial.stateful_cuts;
     cell.stateful_states = serial.stateful_states;
@@ -327,10 +317,6 @@ int main() {
     if (factor >= 2.0) {
       ++cells_at_2x;
     }
-    const double reduction_speedup =
-        cell.reduced_ms > 0 ? cell.unreduced_ms / cell.reduced_ms : 0;
-    const double parallel_speedup =
-        cell.parallel_ms > 0 ? cell.reduced_ms / cell.parallel_ms : 0;
     unreduced_total_ms += cell.unreduced_ms;
     reduced_total_ms += cell.reduced_ms;
     parallel_total_ms += cell.parallel_ms;
@@ -351,12 +337,7 @@ int main() {
         .set("reduced_subtrees", cell.reduced_subtrees)
         .set("complete", cell.complete)
         .set("counts_match", cell.counts_match)
-        .set("verdict_match", cell.verdict_match)
-        .set("unreduced_ms", cell.unreduced_ms)
-        .set("reduced_ms", cell.reduced_ms)
-        .set("parallel_ms", cell.parallel_ms)
-        .set("reduction_speedup", reduction_speedup)
-        .set("parallel_speedup", parallel_speedup);
+        .set("verdict_match", cell.verdict_match);
     series1.push_back(row);
   }
   // The reduction must pay for itself on register-heavy worlds: at least
@@ -394,7 +375,7 @@ int main() {
       std::printf("%6d %14.3f\n", k, ms);
     }
     subc_bench::Json row;
-    row.set("k", k).set("checker_ms", ms).set("linearizable", ms >= 0);
+    row.set("k", k).set("linearizable", ms >= 0);
     series2.push_back(row);
   }
   std::printf(
@@ -406,11 +387,10 @@ int main() {
       "WRN histories because state keys collapse equivalent\nlinearization "
       "prefixes.\n");
 
-  // Headline throughput cell — the acceptance number the perf trajectory
-  // tracks across PRs: the unreduced serial "reads, 4 procs × 3 steps" grid
-  // point re-measured in isolation, with a ProgressTicker attached (huge
-  // period: snapshot telemetry only, no stderr lines) so the observer-side
-  // rate lands in the artifact alongside the stopwatch one.
+  // Headline cell: the unreduced serial "reads, 4 procs × 3 steps" grid
+  // point re-run in isolation with a ProgressTicker attached (huge period:
+  // snapshot telemetry only, no stderr lines), whose count must equal the
+  // search's. Its rate is printed.
   const ExecutionBody headline_body = grid_body(World::kReads, 4, 3);
   Explorer::Options hopts;
   hopts.max_executions = 5'000'000;
@@ -423,15 +403,15 @@ int main() {
   const auto ticker_snap = ticker.snapshot();
   searched += headline;
   subc_bench::Json headline_cell;
-  headline_cell.set("world", "reads").set("procs", 4).set("steps", 3);
-  subc_bench::set_rate_fields(headline_cell, headline.executions,
-                              headline_ms);
+  headline_cell.set("world", "reads")
+      .set("procs", 4)
+      .set("steps", 3)
+      .set("executions", headline.executions)
+      .set("ticker_violations", ticker_snap.violations);
   const double headline_rate =
       headline_ms > 0
           ? 1000.0 * static_cast<double>(headline.executions) / headline_ms
           : 0.0;
-  headline_cell.set("ticker_executions_per_sec", ticker_snap.executions_per_sec)
-      .set("ticker_violations", ticker_snap.violations);
   ok = ok && headline.complete && ticker_snap.executions == headline.executions;
   std::printf("\nheadline cell (reads, 4 procs x 3 steps, unreduced serial): "
               "%lld executions in %.1f ms = %.0f exec/s\n",
@@ -441,7 +421,7 @@ int main() {
   // The same headline grid point on the stepped execution engine: no stack
   // switches, state blocks arena-carved. The execution count must match the
   // fiber cell exactly (same tree, different suspension mechanism); the
-  // rate is the PR-over-PR acceptance number for the engine work.
+  // rate is printed.
   const ExecutionBody stepped_headline_body =
       stepped_grid_body(World::kReads, 4, 3);
   Explorer::explore(stepped_headline_body, hopts);  // untimed warm-up
@@ -458,14 +438,10 @@ int main() {
   stepped_cell.set("world", "reads")
       .set("procs", 4)
       .set("steps", 3)
-      .set("engine", "stepped");
-  subc_bench::set_rate_fields(stepped_cell, stepped_headline.executions,
-                              stepped_headline_ms);
-  stepped_cell
+      .set("engine", "stepped")
+      .set("executions", stepped_headline.executions)
       .set("executions_match_fiber",
-           stepped_headline.executions == headline.executions)
-      .set("speedup_vs_fiber",
-           headline_rate > 0 ? stepped_headline_rate / headline_rate : 0.0);
+           stepped_headline.executions == headline.executions);
   ok = ok && stepped_headline.complete &&
        stepped_headline.executions == headline.executions;
   std::printf("stepped headline cell (same grid point, stepped engine): "
@@ -509,9 +485,10 @@ int main() {
               static_cast<long long>(crash_serial.stuck_executions), crash_ms,
               crash_match ? "yes" : "NO");
   subc_bench::Json crash_cell;
-  crash_cell.set("world", "mixed").set("procs", 3).set("steps", 2);
-  subc_bench::set_rate_fields(crash_cell, crash_serial.executions, crash_ms);
-  crash_cell.set("max_crashes", crash_opts.max_crashes)
+  crash_cell.set("world", "mixed")
+      .set("procs", 3)
+      .set("steps", 2)
+      .set("max_crashes", crash_opts.max_crashes)
       .set("counts_match", crash_match);
   subc_bench::set_search_tally(crash_cell, crash_serial);
 
@@ -563,23 +540,6 @@ int main() {
         .set("stateful_cuts", cell.stateful_cuts)
         .set("stateful_states", cell.stateful_states)
         .set("stateful_vs_sleep_factor", factor)
-        .set("none_ms", cell.none_ms)
-        .set("sleep_ms", cell.sleep_ms)
-        .set("stateful_ms", cell.stateful_ms)
-        .set("none_executions_per_sec",
-             cell.none_ms > 0
-                 ? 1000.0 * static_cast<double>(cell.execs_none) / cell.none_ms
-                 : 0.0)
-        .set("sleep_executions_per_sec",
-             cell.sleep_ms > 0 ? 1000.0 *
-                                     static_cast<double>(cell.execs_sleep) /
-                                     cell.sleep_ms
-                               : 0.0)
-        .set("stateful_executions_per_sec",
-             cell.stateful_ms > 0
-                 ? 1000.0 * static_cast<double>(cell.execs_stateful) /
-                       cell.stateful_ms
-                 : 0.0)
         .set("verdicts_agree", cell.ok);
     series3.push_back(row);
   }
@@ -617,7 +577,6 @@ int main() {
               st_engines_match ? "yes" : "NO");
   subc_bench::Json stateful_headline;
   stateful_headline.set("world", "mixed").set("procs", 3).set("steps", 4);
-  subc_bench::set_rate_fields(stateful_headline, st_fiber.executions, st_ms);
   subc_bench::set_search_tally(stateful_headline, st_fiber);
   stateful_headline
       .set("executions_sleep_only", headline_stateful_cell.execs_sleep)
@@ -636,14 +595,6 @@ int main() {
       .set("headline_stepped", stepped_cell)
       .set("headline_stateful", stateful_headline)
       .set("crash_exploration", crash_cell)
-      .set("threads", threads)
-      .set("hardware_concurrency",
-           static_cast<int>(std::thread::hardware_concurrency()))
-      .set("unreduced_total_ms", unreduced_total_ms)
-      .set("reduced_total_ms", reduced_total_ms)
-      .set("parallel_total_ms", parallel_total_ms)
-      .set("reduction_speedup", overall_reduction_speedup)
-      .set("parallel_speedup", overall_parallel_speedup)
       .set("executions_unreduced", total_executions_unreduced)
       .set("executions_reduced", total_executions_reduced)
       .set("cells_at_2x", cells_at_2x)

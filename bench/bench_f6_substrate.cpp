@@ -9,7 +9,8 @@
 //  * adopt-commit: commit rate under conflicting vs aligned proposals;
 //  * register-built atomic snapshot: collects per scan under w writers.
 // Sweeps run on the parallel RandomSweep; results also land in
-// BENCH_F6.json.
+// BENCH_F6.json. Gates: every sweep is violation-free, and aligned
+// adopt-commit proposals commit at every process in every run.
 #include <algorithm>
 #include <cstdio>
 #include <mutex>
@@ -34,7 +35,8 @@ void record(const char* series, int n, double mean, long worst) {
   g_rows.push_back(row);
 }
 
-void series_immediate_snapshot(int threads) {
+bool series_immediate_snapshot(int threads) {
+  bool ok = true;
   std::printf("immediate snapshot — steps per participate():\n");
   std::printf("%4s  %12s  %12s\n", "n", "mean", "worst");
   for (const int n : {2, 4, 8, 12}) {
@@ -64,11 +66,14 @@ void series_immediate_snapshot(int threads) {
         static_cast<double>(total) / static_cast<double>(samples);
     std::printf("%4d  %12.1f  %12ld%s\n", n, mean, worst,
                 result.ok() ? "" : "  !! violation");
+    ok = ok && result.ok();
     record("immediate_snapshot", n, mean, worst);
   }
+  return ok;
 }
 
-void series_safe_agreement(int threads) {
+bool series_safe_agreement(int threads) {
+  bool ok = true;
   std::printf("\nsafe agreement — steps per propose+await:\n");
   std::printf("%4s  %12s  %12s\n", "n", "mean", "worst");
   for (const int n : {2, 4, 8, 12}) {
@@ -100,20 +105,34 @@ void series_safe_agreement(int threads) {
         static_cast<double>(total) / static_cast<double>(samples);
     std::printf("%4d  %12.1f  %12ld%s\n", n, mean, worst,
                 result.ok() ? "" : "  !! violation");
+    ok = ok && result.ok();
     record("safe_agreement", n, mean, worst);
   }
+  return ok;
 }
 
-void series_adopt_commit(int threads) {
+// Commits and outcomes over one adopt-commit sweep, and whether the sweep
+// ran violation-free.
+struct CommitTally {
+  long commits = 0;
+  long outcomes = 0;
+  bool ok = false;
+
+  [[nodiscard]] double rate() const {
+    return static_cast<double>(commits) / static_cast<double>(outcomes);
+  }
+};
+
+bool series_adopt_commit(int threads) {
+  bool ok = true;
   std::printf("\nadopt-commit — commit rate (fraction of processes that "
               "committed):\n");
   std::printf("%4s  %14s  %14s\n", "n", "aligned", "conflicting");
   for (const int n : {2, 4, 8}) {
-    const auto rate = [n, threads](bool aligned) {
+    const auto sweep = [n, threads](bool aligned) {
       std::mutex mu;
-      long commits = 0;
-      long outcomes = 0;
-      RandomSweep::run(
+      CommitTally tally;
+      const auto result = RandomSweep::run(
           [&](ScheduleDriver& driver) {
             Runtime rt;
             AdoptCommit ac(n);
@@ -122,29 +141,36 @@ void series_adopt_commit(int threads) {
                 const Value v = aligned ? 7 : 7 + p;
                 const auto o = ac.propose(ctx, p, v);
                 const std::lock_guard<std::mutex> lock(mu);
-                ++outcomes;
-                commits += o.grade == Grade::kCommit ? 1 : 0;
+                ++tally.outcomes;
+                tally.commits += o.grade == Grade::kCommit ? 1 : 0;
               });
             }
             rt.run(driver);
           },
           300, 1, threads);
-      return static_cast<double>(commits) / static_cast<double>(outcomes);
+      tally.ok = result.ok();
+      return tally;
     };
-    const double aligned = rate(true);
-    const double conflicting = rate(false);
-    std::printf("%4d  %14.3f  %14.3f\n", n, aligned, conflicting);
+    const CommitTally aligned = sweep(true);
+    const CommitTally conflicting = sweep(false);
+    const bool row_ok = aligned.ok && conflicting.ok &&
+                        aligned.commits == aligned.outcomes;
+    ok = ok && row_ok;
+    std::printf("%4d  %14.3f  %14.3f%s\n", n, aligned.rate(),
+                conflicting.rate(), row_ok ? "" : "  !! FAIL");
     subc_bench::Json row;
     row.set("series", "adopt_commit")
         .set("n", n)
-        .set("aligned_commit_rate", aligned)
-        .set("conflicting_commit_rate", conflicting);
+        .set("aligned_commit_rate", aligned.rate())
+        .set("conflicting_commit_rate", conflicting.rate());
     g_rows.push_back(row);
   }
-  std::printf("(aligned proposals must commit everywhere: expect 1.000)\n");
+  std::printf("(aligned proposals must commit everywhere: gated at 1.000)\n");
+  return ok;
 }
 
-void series_snapshot(int threads) {
+bool series_snapshot(int threads) {
+  bool ok = true;
   std::printf("\nregister-built snapshot — steps per scan with w busy "
               "writers:\n");
   std::printf("%4s  %12s  %12s\n", "w", "mean", "worst");
@@ -153,7 +179,7 @@ void series_snapshot(int threads) {
     long total = 0;
     long worst = 0;
     long samples = 0;
-    RandomSweep::run(
+    const auto result = RandomSweep::run(
         [&](ScheduleDriver& driver) {
           Runtime rt;
           SnapshotFromRegisters<> snap(w + 1, 0);
@@ -179,9 +205,12 @@ void series_snapshot(int threads) {
         300, 1, threads);
     const double mean =
         static_cast<double>(total) / static_cast<double>(samples);
-    std::printf("%4d  %12.1f  %12ld\n", w, mean, worst);
+    std::printf("%4d  %12.1f  %12ld%s\n", w, mean, worst,
+                result.ok() ? "" : "  !! violation");
+    ok = ok && result.ok();
     record("snapshot_scan", w, mean, worst);
   }
+  return ok;
 }
 
 }  // namespace
@@ -189,14 +218,13 @@ void series_snapshot(int threads) {
 int main() {
   const int threads = subc_bench::bench_threads();
   std::printf("F6: register-substrate scaling (%d threads)\n\n", threads);
-  series_immediate_snapshot(threads);
-  series_safe_agreement(threads);
-  series_adopt_commit(threads);
-  series_snapshot(threads);
+  bool ok = series_immediate_snapshot(threads);
+  ok = series_safe_agreement(threads) && ok;
+  ok = series_adopt_commit(threads) && ok;
+  ok = series_snapshot(threads) && ok;
   subc_bench::Json out;
-  out.set("bench", "F6").set("threads", threads).set("rows", g_rows).set(
-      "pass", true);
+  out.set("bench", "F6").set("rows", g_rows).set("pass", ok);
   subc_bench::write_json("BENCH_F6.json", out);
-  std::printf("\nF6 PASS\n");
-  return 0;
+  std::printf("\nF6 %s\n", ok ? "PASS" : "FAIL");
+  return ok ? 0 : 1;
 }

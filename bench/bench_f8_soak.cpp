@@ -1,13 +1,14 @@
 // Experiment F8 — soak: the release-quality reliability artifact, in two
 // stages.
 //
-// Stage 1 (legacy workloads): a fixed wall-clock budget of randomized mixed
-// schedules over every major construction, validating everything on every
-// run. Each workload draws from its own disjoint seed stream (stream w =
-// seeds [(w+1)<<32, (w+2)<<32)), so no two workloads replay overlapping
-// schedule prefixes and every failure reproduces from (workload, seed).
-// Step-quota `StuckCut`s are reported as structured diagnostics and the
-// soak continues; only spec violations fail the stage.
+// Stage 1 (legacy workloads): a fixed number of seeded random schedules
+// over every major construction, validating everything on every run. Each
+// workload draws from its own disjoint seed stream (stream w = seeds
+// [(w+1)<<32, (w+2)<<32)), so no two workloads replay overlapping schedule
+// prefixes, every failure reproduces from (workload, seed), and the stage's
+// counts repeat on every run. Step-quota `StuckCut`s are reported as
+// structured diagnostics and the soak continues; only spec violations fail
+// the stage.
 //
 // Stage 2 (sharded agreement as a service): the multi-instance soak, now
 // driven through `ShardedService` (runtime/service.hpp) at 1 / 2 / 4 / 8
@@ -20,14 +21,17 @@
 // and the spot audit (linearizability for 1sWRN, validity + k-agreement
 // otherwise) now runs inside the decide callback on the worker threads.
 //
+// Stage 2 runs for wall-clock time, so how much traffic each configuration
+// serves depends on thread timing: those counts sit in each row's `served`
+// cell, which refresh_bench_results.sh --check compares by key only.
+//
 // Self-gates: zero violations, every shard table drained at exit, ≥ 1000
 // peak live instances per shard, and — only on hosts with ≥ 8 usable cores
 // (4 workers + 4 producers) — ≥ 2.5x aggregate ops/s at 4 shards vs 1.
-// The measured scaling ratio is stamped either way, with the absolute
-// 1-shard and 4-shard throughput cells.
+// Throughput and the scaling ratio are printed, never stamped.
 //
-//   bench_f8_soak [seconds-per-workload] [soak-seconds] [audit-percent]
-//                 (defaults 2, 4, 25; pass 0 seconds to skip a stage —
+//   bench_f8_soak [runs-per-workload] [soak-seconds] [audit-percent]
+//                 (defaults 200000, 4, 25; pass 0 to skip a stage —
 //                  check.sh --soak-smoke runs `0 5 100`; soak-seconds is
 //                  split evenly across the four shard configurations)
 #include <algorithm>
@@ -69,14 +73,13 @@ struct SoakOutcome {
   bool ok = true;
 };
 
-SoakOutcome soak_one(const Workload& workload, double seconds,
+/// Runs `workload` on seeds [seed_base, seed_base + schedules).
+SoakOutcome soak_one(const Workload& workload, long schedules,
                      std::uint64_t seed_base) {
   SoakOutcome out;
-  std::uint64_t seed = seed_base;
-  const auto deadline =
-      Clock::now() + std::chrono::duration<double>(seconds);
-  while (Clock::now() < deadline) {
-    RandomDriver driver(seed++);
+  for (std::uint64_t seed = seed_base;
+       seed < seed_base + static_cast<std::uint64_t>(schedules); ++seed) {
+    RandomDriver driver(seed);
     try {
       workload.body(driver);
     } catch (const StuckCut&) {
@@ -86,12 +89,11 @@ SoakOutcome soak_one(const Workload& workload, double seconds,
       // here, at the harness boundary).
       ++out.stuck;
       std::printf("  .. %s stuck at seed %llu (step-quota watchdog)\n",
-                  workload.name,
-                  static_cast<unsigned long long>(seed - 1));
+                  workload.name, static_cast<unsigned long long>(seed));
       continue;
     } catch (const std::exception& e) {
       std::printf("  !! %s violated at seed %llu: %s\n", workload.name,
-                  static_cast<unsigned long long>(seed - 1), e.what());
+                  static_cast<unsigned long long>(seed), e.what());
       out.ok = false;
       return out;
     }
@@ -387,14 +389,14 @@ ShardSoakResult run_sharded_soak(int shards, double seconds,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double seconds = argc > 1 ? std::atof(argv[1]) : 2.0;
+  const long schedules = argc > 1 ? std::max(0L, std::atol(argv[1])) : 200'000;
   const double soak_seconds = argc > 2 ? std::atof(argv[2]) : 4.0;
   const int audit_percent =
       argc > 3 ? std::min(100, std::max(0, std::atoi(argv[3]))) : 25;
   std::printf(
-      "F8: soak — %.1f s of adversarial schedules per workload, %.1f s "
+      "F8: soak — %ld adversarial schedules per workload, %.1f s "
       "sharded agreement-as-a-service (audit %d%%)\n\n",
-      seconds, soak_seconds, audit_percent);
+      schedules, soak_seconds, audit_percent);
 
   const std::vector<Workload> workloads{
       {"algorithm2_k6",
@@ -504,7 +506,6 @@ int main(int argc, char** argv) {
   bool ok = true;
   long total = 0;
   long total_stuck = 0;
-  const AllocCounters before_legacy = alloc_counters();
   std::printf("%-34s %12s %14s %8s %18s\n", "workload", "runs", "runs/sec",
               "stuck", "seed_base");
   std::vector<subc_bench::Json> rows;
@@ -513,26 +514,22 @@ int main(int argc, char** argv) {
     // Disjoint, reproducible seed streams: workload w draws from
     // [(w+1)<<32, (w+2)<<32), so no two workloads share a schedule prefix.
     const std::uint64_t seed_base = (static_cast<std::uint64_t>(w) + 1) << 32;
-    const auto start = Clock::now();
-    const SoakOutcome outcome = soak_one(workload, seconds, seed_base);
-    const double elapsed =
-        std::chrono::duration<double>(Clock::now() - start).count();
+    const subc_bench::Stopwatch sw;
+    const SoakOutcome outcome = soak_one(workload, schedules, seed_base);
+    const double per_sec = outcome.runs / std::max(sw.ms() / 1000.0, 1e-9);
     ok = ok && outcome.ok;
     total += outcome.runs;
     total_stuck += outcome.stuck;
-    const double per_sec = outcome.runs / std::max(elapsed, 1e-9);
     std::printf("%-34s %12ld %14.0f %8ld %#18llx\n", workload.name,
                 outcome.runs, per_sec, outcome.stuck,
                 static_cast<unsigned long long>(seed_base));
     subc_bench::Json row;
     row.set("workload", workload.name)
         .set("runs", static_cast<std::int64_t>(outcome.runs))
-        .set("runs_per_sec", per_sec)
         .set("stuck_runs", static_cast<std::int64_t>(outcome.stuck))
         .set("seed_base", static_cast<std::int64_t>(seed_base));
     rows.push_back(row);
   }
-  const AllocCounters legacy_delta = alloc_counters_delta(before_legacy);
   std::printf("\ntotal validated executions: %ld, stuck: %ld, violations: %s\n",
               total, total_stuck, ok ? "0" : "SOME (see above)");
 
@@ -540,7 +537,6 @@ int main(int argc, char** argv) {
   const std::vector<int> cpus = usable_cpus();
   constexpr int kConfigs[] = {1, 2, 4, 8};
   const double per_config = soak_seconds / 4.0;
-  const AllocCounters before_service = alloc_counters();
   std::printf(
       "\nsharded service soak (%zu usable cpus, %.2f s per configuration):\n"
       "%7s %12s %12s %10s %10s %8s %6s %6s %16s %7s\n",
@@ -548,6 +544,9 @@ int main(int argc, char** argv) {
       "timedout", "dedup", "p50", "p99", "peak_live/shard", "pinned");
   std::vector<ShardSoakResult> results;
   std::vector<subc_bench::Json> config_rows;
+  std::int64_t all_audited = 0;
+  std::int64_t all_violations = 0;
+  std::int64_t all_dedup_hits = 0;
   for (const int shards : kConfigs) {
     const ShardSoakResult res =
         run_sharded_soak(shards, per_config, audit_percent);
@@ -559,45 +558,6 @@ int main(int argc, char** argv) {
                 res.p99_ticks, static_cast<long long>(res.peak_live_min),
                 static_cast<long long>(res.peak_live_max), res.pinned_workers,
                 res.shards);
-    subc_bench::Json row;
-    row.set("shards", res.shards)
-        .set("ops", res.ops)
-        .set("ops_per_sec", res.ops_per_sec)
-        .set("opened", res.opened)
-        .set("decided", res.decided)
-        .set("timed_out", res.timed_out)
-        .set("dedup_hits", res.dedup_hits)
-        .set("dedup_records", res.dedup_records)
-        .set("audited", res.audited)
-        .set("violations", res.violations)
-        .set("p50_ticks", res.p50_ticks)
-        .set("p99_ticks", res.p99_ticks)
-        .set("peak_live_min", res.peak_live_min)
-        .set("peak_live_max", res.peak_live_max)
-        .set("live_at_exit", res.live_at_exit)
-        .set("inbox_peak", res.inbox_peak)
-        .set("shard_ops", res.shard_ops)
-        .set("pinned_workers", res.pinned_workers);
-    config_rows.push_back(row);
-    results.push_back(res);
-  }
-  const AllocCounters service_delta = alloc_counters_delta(before_service);
-
-  const ShardSoakResult& r1 = results[0];
-  const ShardSoakResult& r4 = results[2];
-  const double scaling_x =
-      r1.ops_per_sec > 0.0 ? r4.ops_per_sec / r1.ops_per_sec : 1.0;
-  // 4 workers + 4 producers need 8 cores before wall-clock scaling is a
-  // meaningful promise; smaller hosts stamp the measured ratio but gate
-  // throughput via the committed perf baseline instead.
-  const bool scaling_gated = soak_seconds > 0.0 && cpus.size() >= 8;
-  std::printf("  aggregate scaling at 4 shards vs 1: %.2fx (%s)\n", scaling_x,
-              scaling_gated ? "gated >= 2.5x" : "not gated on this host");
-
-  std::int64_t all_audited = 0;
-  std::int64_t all_violations = 0;
-  std::int64_t all_dedup_hits = 0;
-  for (const ShardSoakResult& res : results) {
     all_audited += res.audited;
     all_violations += res.violations;
     all_dedup_hits += res.dedup_hits;
@@ -614,7 +574,41 @@ int main(int argc, char** argv) {
                   res.shards, static_cast<long long>(res.peak_live_min));
       ok = false;
     }
+    subc_bench::Json served;
+    served.set("ops", res.ops)
+        .set("opened", res.opened)
+        .set("decided", res.decided)
+        .set("timed_out", res.timed_out)
+        .set("dedup_hits", res.dedup_hits)
+        .set("dedup_records", res.dedup_records)
+        .set("audited", res.audited)
+        .set("p50_ticks", res.p50_ticks)
+        .set("p99_ticks", res.p99_ticks)
+        .set("peak_live_min", res.peak_live_min)
+        .set("peak_live_max", res.peak_live_max)
+        .set("inbox_peak", res.inbox_peak)
+        .set("ticks", res.ticks)
+        .set("blocks_carved", res.blocks_carved)
+        .set("block_reuses", res.block_reuses)
+        .set("shard_ops", res.shard_ops);
+    subc_bench::Json row;
+    row.set("shards", res.shards)
+        .set("violations", res.violations)
+        .set("live_at_exit", res.live_at_exit)
+        .set("served", served);
+    config_rows.push_back(row);
+    results.push_back(res);
   }
+
+  const ShardSoakResult& r1 = results[0];
+  const ShardSoakResult& r4 = results[2];
+  const double scaling_x =
+      r1.ops_per_sec > 0.0 ? r4.ops_per_sec / r1.ops_per_sec : 1.0;
+  // 4 workers + 4 producers need 8 cores before wall-clock scaling is a
+  // meaningful promise; smaller hosts print the measured ratio ungated.
+  const bool scaling_gated = soak_seconds > 0.0 && cpus.size() >= 8;
+  std::printf("  aggregate scaling at 4 shards vs 1: %.2fx (%s)\n", scaling_x,
+              scaling_gated ? "gated >= 2.5x" : "not gated on this host");
   if (scaling_gated && scaling_x < 2.5) {
     std::printf("  !! 4-shard scaling %.2fx < 2.5x with %zu usable cpus\n",
                 scaling_x, cpus.size());
@@ -627,34 +621,15 @@ int main(int argc, char** argv) {
 
   subc_bench::Json out;
   out.set("bench", "F8")
-      .set("seconds_per_workload", seconds)
+      .set("runs_per_workload", static_cast<std::int64_t>(schedules))
       .set("soak_seconds", soak_seconds)
       .set("audit_percent", audit_percent)
       .set("total_runs", static_cast<std::int64_t>(total))
       .set("total_stuck", static_cast<std::int64_t>(total_stuck))
       .set("workloads", rows)
+      .set("soak_violations", all_violations)
+      .set("soak_configs", config_rows)
       .set("pass", ok);
-  // Headline soak_* cells describe the 4-shard configuration; violations
-  // and the audit total cover all four (the self-gates span them all).
-  subc_bench::set_soak_fields(out, r4.ops_per_sec, r4.p50_ticks, r4.p99_ticks,
-                              r4.peak_live_max, r4.decided + r4.timed_out,
-                              all_audited, all_violations, r4.shards,
-                              r4.shard_ops, all_dedup_hits, scaling_x);
-  out.set("soak_decisions", r4.decided)
-      .set("soak_timed_out", r4.timed_out)
-      .set("soak_ticks", r4.ticks)
-      .set("soak_blocks_carved", r4.blocks_carved)
-      .set("soak_block_reuses", r4.block_reuses)
-      .set("soak_scaling_gated", scaling_gated)
-      .set("soak_usable_cpus", static_cast<std::int64_t>(cpus.size()))
-      .set("soak_ops_per_sec_1shard", r1.ops_per_sec)
-      .set("soak_ops_per_sec_4shard", r4.ops_per_sec)
-      .set("soak_configs", config_rows);
-  // Per-stage allocator deltas: the legacy stage churns fiber stacks and
-  // world arenas; the service stage should be instance blocks only.
-  out.set("alloc_delta_legacy", subc_bench::alloc_counter_cell(legacy_delta))
-      .set("alloc_delta_service",
-           subc_bench::alloc_counter_cell(service_delta));
   subc_bench::write_json("BENCH_F8.json", out);
   std::printf("\nF8 %s\n", ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;

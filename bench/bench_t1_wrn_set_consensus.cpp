@@ -115,14 +115,11 @@ int main() {
         .set("executions", row.executions)
         .set("reduced_subtrees", row.search.reduced_subtrees)
         .set("worst_distinct", row.worst_distinct)
-        .set("violations", row.violations)
-        .set("ms", row.ms)
-        .set("executions_per_sec", per_sec);
+        .set("violations", row.violations);
     rows.push_back(json_row);
   }
   subc_bench::Json out;
-  out.set("bench", "T1").set("threads", threads).set("rows", rows).set(
-      "pass", all_ok);
+  out.set("bench", "T1").set("rows", rows).set("pass", all_ok);
   subc_bench::set_search_tally(out, searched);
   subc_bench::write_json("BENCH_T1.json", out);
   std::printf("\nT1 %s\n", all_ok ? "PASS" : "FAIL");

@@ -133,7 +133,6 @@ int main() {
 
   subc_bench::Json out;
   out.set("bench", "T4")
-      .set("threads", threads)
       .set("separations", rows)
       .set("synthesis", synth_rows)
       .set("pass", ok);

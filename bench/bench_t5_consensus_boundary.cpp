@@ -49,7 +49,6 @@ int main() {
   std::printf("%4s  %-12s  %s\n", "k", "verdict", "evidence");
   bool ok = true;
   std::vector<subc_bench::Json> boundary_rows;
-  const subc_bench::Stopwatch total_sw;
   Explorer::Tally checked;  // the searches behind every check below
 
   for (int k = 2; k <= 8; ++k) {
@@ -159,16 +158,9 @@ int main() {
                 static_cast<long long>(check.executions));
   }
 
-  const double total_ms = total_sw.ms();
   subc_bench::Json out;
   out.set("bench", "T5")
-      .set("threads", threads)
-      .set("total_ms", total_ms)
       .set("checked_executions", checked.executions)
-      .set("executions_per_sec",
-           total_ms > 0 ? 1000.0 * static_cast<double>(checked.executions) /
-                              total_ms
-                        : 0.0)
       .set("boundary", boundary_rows)
       .set("synthesis", synthesis_rows)
       .set("pass", ok);

@@ -154,7 +154,6 @@ int main() {
 
   subc_bench::Json out;
   out.set("bench", "T7")
-      .set("threads", threads)
       .set("rows", rows)
       .set("wrn3_universal_steps_per_op", universal_steps_per_op)
       .set("pass", ok);

@@ -135,7 +135,6 @@ int main() {
 
   subc_bench::Json out;
   out.set("bench", "T8")
-      .set("threads", threads)
       .set("grid", g_grid_rows)
       .set("resilience", g_crash_rows)
       .set("pass", ok);

@@ -143,7 +143,6 @@ int main() {
 
   bool ok = true;
   std::vector<subc_bench::Json> rows;
-  const subc_bench::Stopwatch total_sw;
   Explorer::Tally total;
 
   for (const GridRow& grid_row : kGrid) {
@@ -251,14 +250,10 @@ int main() {
     }
   }
 
-  const double total_ms = total_sw.ms();
   subc_bench::Json out;
   out.set("bench", "T9")
-      .set("threads", grid_threads[1])
-      .set("total_ms", total_ms)
       .set("grid", rows)
       .set("pass", ok);
-  subc_bench::set_rate_fields(out, total.executions, total_ms);
   subc_bench::set_search_tally(out, total);
   subc_bench::write_json("BENCH_T9.json", out);
 

@@ -84,7 +84,7 @@ fi
 # zero audit violations, the >=1000 concurrent-live-instance high-water
 # mark, and zero live instances left in the table at exit (block recycling,
 # not monotone arena growth). The legacy randomized-schedule stage is
-# skipped (0 s) — this gate is about the instance layer, and the full pass
+# skipped (0 runs) — this gate is about the instance layer, and the full pass
 # still soaks the legacy workloads from the Release bench stage. Results
 # land in a scratch directory so checked-in bench-results/ stay untouched.
 if [[ "${MODE}" == "soak" ]]; then
@@ -136,9 +136,11 @@ done
 tsan_stage
 
 # --- Benches: every experiment binary from a Release build, run in a -----
-# temp directory; each self-gates on its claims, and every artifact's key
-# set must match the committed bench-results/. The artifacts carry this
-# host's numbers, so the pass never writes them into the tree (that is
-# scripts/refresh_bench_results.sh without --check).
+# temp directory; each self-gates on its claims, and every artifact value
+# must equal the committed bench-results/ (scripts/refresh_bench_results.sh
+# names the few cells compared by key only). The second pass at one worker
+# thread pins that no artifact depends on the thread count. The pass never
+# writes the tree (that is refresh_bench_results.sh without --check).
 scripts/refresh_bench_results.sh --check
+SUBC_BENCH_THREADS=1 scripts/refresh_bench_results.sh --check
 echo "ALL CHECKS PASSED"

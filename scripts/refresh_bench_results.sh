@@ -1,29 +1,28 @@
 #!/usr/bin/env bash
 # Regenerates the committed bench-results/ artifacts from a Release build,
-# or (--check) verifies the checked-in artifacts are structurally current.
+# or (--check) verifies that the committed artifacts equal a fresh run.
 #
 #   scripts/refresh_bench_results.sh          run every bench binary, write
 #                                             bench-results/BENCH_*.json
 #   scripts/refresh_bench_results.sh --check  regenerate into a temp dir and
-#                                             diff against bench-results/: a
-#                                             missing artifact, an artifact
-#                                             with no surviving bench, a
-#                                             changed JSON key set or a
-#                                             changed search tally fails
-#                                             loudly
+#                                             diff every value against
+#                                             bench-results/
 #
-# Timings and rates legitimately vary run to run, so --check compares the
-# sorted key sets of each artifact: a bench grew or renamed fields and the
-# committed artifact silently kept the old schema. The tallies of complete
-# searches do not vary (the explorer's counts are deterministic at any
-# thread count), so every nested `search` cell (set_search_tally in
-# bench/bench_util.hpp) must also equal the committed one exactly: a stale
-# artifact or a change that moves a count fails. Excluded by name, with the
-# reason:
-#   BENCH_F5.json search  the top-level cell sums series 3's parallel
-#                         stateful searches, whose split of executions and
-#                         cuts depends on worker timing
-SEARCH_EXCLUDED="BENCH_F5.json:search"
+# An artifact records only facts that repeat on any host and at any thread
+# count (bench/bench_util.hpp), so --check flattens each one to path -> value
+# and compares every value exactly. A missing or orphaned artifact, a path on
+# one side only, or a differing value fails, naming the path and both values.
+# An excluded cell is compared by key only; each entry names its cause:
+#   BENCH_F5.json search                 the top-level cell sums series 3's
+#                                        parallel stateful searches, whose
+#                                        split of executions and cuts depends
+#                                        on worker timing
+#   BENCH_F8.json soak_configs[].served  stage 2 drives each shard
+#                                        configuration for wall-clock time, so
+#                                        what it serves depends on thread
+#                                        timing
+EXCLUDED="BENCH_F5.json search
+BENCH_F8.json soak_configs[].served"
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,117 +37,83 @@ for arg in "$@"; do
   esac
 done
 
+# The benches built from bench/ sources (a stale binary in build-release/
+# whose source is gone never runs).
+BENCHES=(bench/bench_*.cpp)
+BENCHES=("${BENCHES[@]##*/}")
+BENCHES=("${BENCHES[@]%.cpp}")
 cmake -B build-release -G Ninja -DCMAKE_BUILD_TYPE=Release >/dev/null
-cmake --build build-release --target \
-  $(ls bench/bench_*.cpp | xargs -n1 basename | sed 's/\.cpp$//')
+cmake --build build-release --target "${BENCHES[@]}"
+ROOT="$(pwd)"
 
-# Flatten a JSON artifact to its sorted set of key names (nested keys
-# included, array indices ignored so per-row cells compare by shape).
-key_set() {
-  python3 - "$1" <<'EOF'
-import json, sys
-def keys(prefix, v, out):
-    if isinstance(v, dict):
-        for k, vv in v.items():
-            out.add(f"{prefix}{k}")
-            keys(f"{prefix}{k}.", vv, out)
-    elif isinstance(v, list):
-        for vv in v:
-            keys(f"{prefix}[]", vv, out)
-with open(sys.argv[1]) as f:
-    data = json.load(f)
-out = set()
-keys("", data, out)
-print("\n".join(sorted(out)))
-EOF
-}
+# Runs every bench in directory $1, where each writes its artifact.
+run_benches() (
+  cd "$1"
+  for bench in "${BENCHES[@]}"; do
+    echo "== ${bench}" >&2
+    "${ROOT}/build-release/bench/${bench}"
+  done
+)
 
-# Every nested `search` cell of artifact $2 (named $1), one sorted line
-# each: "<path> <cell as JSON>", minus the cells SEARCH_EXCLUDED names.
-search_cells() {
-  python3 - "$1" "$2" "${SEARCH_EXCLUDED}" <<'EOF'
-import json, sys
-name, path, excluded = sys.argv[1], sys.argv[2], set(sys.argv[3].split())
-def cells(prefix, v, out):
-    if isinstance(v, dict):
-        for k, vv in v.items():
-            if k == "search" and f"{name}:{prefix}{k}" not in excluded:
-                out.append(f"{prefix}{k} {json.dumps(vv, sort_keys=True)}")
-            cells(f"{prefix}{k}.", vv, out)
-    elif isinstance(v, list):
-        for i, vv in enumerate(v):
-            cells(f"{prefix}[{i}].", vv, out)
-with open(path) as f:
-    data = json.load(f)
-out = []
-cells("", data, out)
-print("\n".join(sorted(out)))
-EOF
-}
-
-if [[ "${CHECK}" == "1" ]]; then
-  TMP="$(mktemp -d)"
-  trap 'rm -rf "${TMP}"' EXIT
-  (cd "${TMP}" && for bench in "${OLDPWD}"/build-release/bench/bench_*; do
-    [[ -x "${bench}" ]] || continue
-    echo "== $(basename "${bench}")"
-    "${bench}" >/dev/null
-  done)
-  FAIL=0
-  for fresh in "${TMP}"/BENCH_*.json; do
-    name="$(basename "${fresh}")"
-    committed="bench-results/${name}"
-    if [[ ! -f "${committed}" ]]; then
-      echo "refresh-bench: STALE — ${committed} missing (bench now emits it)" >&2
-      FAIL=1
-      continue
-    fi
-    if ! diff <(key_set "${committed}") <(key_set "${fresh}") >/dev/null; then
-      echo "refresh-bench: STALE — ${committed} key set drifted:" >&2
-      diff <(key_set "${committed}") <(key_set "${fresh}") | sed 's/^/  /' >&2 || true
-      FAIL=1
-    fi
-    if ! diff <(search_cells "${name}" "${committed}") \
-              <(search_cells "${name}" "${fresh}") >/dev/null; then
-      echo "refresh-bench: STALE — ${committed} search tallies differ (< committed, > fresh):" >&2
-      diff <(search_cells "${name}" "${committed}") \
-           <(search_cells "${name}" "${fresh}") | sed 's/^/  /' >&2 || true
-      FAIL=1
-    fi
-  done
-  for committed in bench-results/BENCH_*.json; do
-    name="$(basename "${committed}")"
-    if [[ ! -f "${TMP}/${name}" ]]; then
-      echo "refresh-bench: STALE — ${committed} has no bench emitting it" >&2
-      FAIL=1
-    fi
-  done
-  # The F8 artifact must carry the agreement-as-a-service soak cells
-  # (set_soak_fields in bench/bench_util.hpp). The generic key-set diff
-  # would accept a bench that silently stopped stamping them on *both*
-  # sides, so the required keys are pinned by name.
-  # (grep without -q: early exit would SIGPIPE the key_set python under
-  # pipefail even when the key is present.)
-  for key in soak_ops_per_sec soak_p50_ticks soak_p99_ticks soak_peak_live \
-             soak_instances_gcd soak_audited soak_violations soak_shards \
-             soak_shard_ops soak_dedup_hits soak_scaling_x; do
-    if ! key_set bench-results/BENCH_F8.json 2>/dev/null \
-        | grep -x "${key}" >/dev/null; then
-      echo "refresh-bench: STALE — bench-results/BENCH_F8.json missing soak cell ${key}" >&2
-      FAIL=1
-    fi
-  done
-  [[ "${FAIL}" == "0" ]] || exit 1
-  echo "BENCH RESULTS CURRENT"
+if [[ "${CHECK}" == "0" ]]; then
+  mkdir -p bench-results
+  run_benches bench-results
+  echo "BENCH RESULTS REFRESHED"
   exit 0
 fi
 
-mkdir -p bench-results
-cd bench-results
-for bench in ../build-release/bench/bench_*; do
-  [[ -x "${bench}" ]] || continue
-  echo "== $(basename "${bench}")"
-  "${bench}"
-done
-cd ..
-echo "BENCH RESULTS REFRESHED"
+TMP="$(mktemp -d)"
+trap 'rm -rf "${TMP}"' EXIT
+run_benches "${TMP}" >/dev/null
+python3 - bench-results "${TMP}" "${EXCLUDED}" <<'EOF'
+import json, os, re, sys
+committed_dir, fresh_dir, excluded = sys.argv[1], sys.argv[2], sys.argv[3]
+excluded = [line.split() for line in excluded.splitlines()]
+
+def flatten(path, v, out):
+    if isinstance(v, dict) and v:
+        for k, vv in v.items():
+            flatten(f"{path}.{k}" if path else k, vv, out)
+    elif isinstance(v, list) and v:
+        for i, vv in enumerate(v):
+            flatten(f"{path}[{i}]", vv, out)
+    else:
+        out[path] = v
+    return out
+
+def is_excluded(name, path):
+    shape = re.sub(r"\[\d+\]", "[]", path)
+    return any(name == file and (shape == cell or shape.startswith(cell + ".")
+                                 or shape.startswith(cell + "["))
+               for file, cell in excluded)
+
+def artifacts(d):
+    return {n for n in os.listdir(d) if n.startswith("BENCH_") and n.endswith(".json")}
+
+def stale(msg):
+    global ok
+    print(f"refresh-bench: STALE — {msg}", file=sys.stderr)
+    ok = False
+
+ok = True
+committed, fresh = artifacts(committed_dir), artifacts(fresh_dir)
+for name in sorted(fresh - committed):
+    stale(f"bench-results/{name} missing (a bench now emits it)")
+for name in sorted(committed - fresh):
+    stale(f"bench-results/{name} has no bench emitting it")
+for name in sorted(committed & fresh):
+    with open(os.path.join(committed_dir, name)) as f:
+        old = flatten("", json.load(f), {})
+    with open(os.path.join(fresh_dir, name)) as f:
+        new = flatten("", json.load(f), {})
+    for path in sorted(old.keys() - new.keys()):
+        stale(f"{name} {path}: committed {json.dumps(old[path])}, absent from the fresh run")
+    for path in sorted(new.keys() - old.keys()):
+        stale(f"{name} {path}: fresh {json.dumps(new[path])}, absent from the committed artifact")
+    for path in sorted(old.keys() & new.keys()):
+        a, b = old[path], new[path]
+        if (type(a) is not type(b) or a != b) and not is_excluded(name, path):
+            stale(f"{name} {path}: committed {json.dumps(a)} != fresh {json.dumps(b)}")
+sys.exit(0 if ok else 1)
+EOF
+echo "BENCH RESULTS CURRENT"

@@ -237,7 +237,12 @@ ObjectClassProfile profile_cas(int max_procs) {
 ObjectClassProfile profile_set_consensus(int m, int j, int max_procs) {
   check_sc_params(m, j);
   return make_profile(
-      "(" + std::to_string(m) + "," + std::to_string(j) + ")-SC", max_procs,
+      std::string("(")
+          .append(std::to_string(m))
+          .append(",")
+          .append(std::to_string(j))
+          .append(")-SC"),
+      max_procs,
       [m, j](int procs) {
         return std::min(procs, sc_partition_agreement(procs, m, j));
       });

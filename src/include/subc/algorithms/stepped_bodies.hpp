@@ -1,5 +1,5 @@
 // Stepped-engine (runtime/stepper.hpp) forms of the hot algorithm bodies:
-// the bench-grid worlds (bench_f4/bench_f5), the equivalence-pin worlds
+// the bench-grid worlds (bench_f5), the equivalence-pin worlds
 // (tests/equivalence_pin_test.cpp) and the classic swap-consensus routine.
 //
 // Each struct is a resumable state machine registered with
@@ -21,7 +21,7 @@
 namespace subc {
 
 /// `steps` atomic reads of one shared register — the bench-grid "reads"
-/// world (bench_f4 micro cells, bench_f5 headline).
+/// world (bench_f5 headline).
 struct SteppedRegisterReader {
   Register<>* reg;
   int steps;

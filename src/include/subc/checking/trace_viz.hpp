@@ -50,7 +50,7 @@ inline std::string render_history(const History& history,
   const auto label_of = [&options](const HistoryEntry& e) {
     std::string label = options.op_name + "(";
     for (std::size_t a = 0; a < e.op.size(); ++a) {
-      label += (a ? "," : "") + to_string(e.op[a]);
+      label.append(a ? "," : "").append(to_string(e.op[a]));
     }
     label += ")->";
     if (e.pending()) {
@@ -59,7 +59,7 @@ inline std::string render_history(const History& history,
       label += "()";
     } else {
       for (std::size_t a = 0; a < e.response.size(); ++a) {
-        label += (a ? "," : "") + to_string(e.response[a]);
+        label.append(a ? "," : "").append(to_string(e.response[a]));
       }
     }
     return label;

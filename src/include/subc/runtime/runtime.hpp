@@ -404,6 +404,13 @@ class Runtime {
   /// cut, and the step it lands in finishes on option 0.
   std::uint32_t choose(int pid, std::uint32_t arity);
 
+  /// `decide` and `hang` of both process handles for `pid`: `decide`
+  /// records the task output (a recovered incarnation may re-decide only the
+  /// same value); `hang` folds the hang into the fingerprint and marks the
+  /// process hung (`Context::hang` then parks its fiber).
+  void decide(int pid, Value v);
+  void hang(int pid);
+
   void check_pid(int pid) const;
   std::size_t collect_enabled(int* enabled, Access* footprints) const;
   int attach_proc(Proc* proc);

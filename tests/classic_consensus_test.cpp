@@ -235,7 +235,7 @@ INSTANTIATE_TEST_SUITE_P(AllK, WrnAttemptFails, ::testing::Values(3, 4, 5, 8));
 
 TEST(GacBoundary, GacSolvesNConsensusButNaiveNPlus1Fails) {
   // GAC(n,i) gives consensus to n processes (block 0)...
-  for (const auto [n, i] : {std::pair{2, 1}, {2, 2}, {3, 1}}) {
+  for (const auto& [n, i] : {std::pair{2, 1}, {2, 2}, {3, 1}}) {
     std::vector<Value> inputs;
     for (int p = 0; p < n; ++p) {
       inputs.push_back(10 + p);

@@ -136,7 +136,7 @@ TEST(GacValence, FreshObjectIsARaceForAllN) {
   // for every n (for n ≥ 2 the second proposer *reads* the winner — the
   // consensus mechanism; for n = 1 the winner is only revealed to later
   // wrap arrivals).
-  for (const auto [n, i] : {std::pair{1, 1}, {2, 1}, {3, 2}}) {
+  for (const auto& [n, i] : {std::pair{1, 1}, {2, 1}, {3, 2}}) {
     const ValenceReport report = check_gac_valence(n, i);
     bool initial_uncovered = false;
     for (const std::string& u : report.uncovered) {
@@ -168,7 +168,7 @@ TEST(ProtocolSynthesis, GacBoundaryNProcessesWinNPlus1Lose) {
   // announce/propose/decide protocol solves consensus for n processes
   // (everyone adopting the returned value — the block-0 race), but no
   // protocol in the family solves it for n+1 processes.
-  for (const auto [n, i] : {std::pair{2, 1}, {2, 2}, {3, 1}}) {
+  for (const auto& [n, i] : {std::pair{2, 1}, {2, 2}, {3, 1}}) {
     const ProtocolSearchResult at_n = search_gac_consensus_protocols(n, i, n);
     EXPECT_GT(at_n.correct, 0) << "n=" << n << " i=" << i;
     const ProtocolSearchResult at_n1 =

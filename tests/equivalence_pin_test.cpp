@@ -1,6 +1,7 @@
 // Pins the exhaustive explorer's exact result grid on the reduction_test
-// worlds (register, GAC, WRN, classic consensus): verdict, execution count
-// and reduced_subtrees at fixed {engine, reduction, threads, max_crashes}.
+// worlds (register, GAC, WRN, classic consensus) and on a reads-only world:
+// verdict, execution count and reduced_subtrees at fixed {engine,
+// reduction, threads, max_crashes}.
 // Executions are the semantic pins: captured from the pre-policy-refactor
 // explorer, they are one per Mazurkiewicz trace under sleep sets, and any
 // drift means a change altered what the exhaustive search visits, which it
@@ -135,6 +136,27 @@ ExecutionBody consensus_world(Eng engine) {
   };
 }
 
+/// Three processes of three reads of one register: the largest raw tree on
+/// the grid (every interleaving commutes, so sleep sets keep one).
+ExecutionBody reads_world(Eng engine) {
+  return [engine](ScheduleDriver& driver) {
+    Runtime rt;
+    Register<> reg(0);
+    for (int p = 0; p < 3; ++p) {
+      if (engine == Eng::kFiber) {
+        rt.add_process([&](Context& ctx) {
+          for (int s = 0; s < 3; ++s) {
+            reg.read(ctx);
+          }
+        });
+      } else {
+        rt.add_stepped(SteppedRegisterReader{&reg, 3});
+      }
+    }
+    rt.run(driver);
+  };
+}
+
 const char* engine_name(Eng e) {
   return e == Eng::kFiber ? "fiber" : "stepped";
 }
@@ -179,9 +201,10 @@ void expect_identical(const Explorer::Result& got,
   }
 }
 
-void expect_pinned(const ExecutionBody& fiber_body,
-                   const ExecutionBody& stepped_body, const Pin& pin) {
-  // Crash-free grid: both engines must hit the historical pins exactly.
+/// Crash-free grid: both engines must hit the historical pins exactly.
+void expect_pinned_crash_free(const ExecutionBody& fiber_body,
+                              const ExecutionBody& stepped_body,
+                              const Pin& pin) {
   for (const Eng engine : {Eng::kFiber, Eng::kStepped}) {
     const ExecutionBody& body =
         engine == Eng::kFiber ? fiber_body : stepped_body;
@@ -201,6 +224,11 @@ void expect_pinned(const ExecutionBody& fiber_body,
       EXPECT_EQ(red.reduced_subtrees, pin.reduced_sleep);
     }
   }
+}
+
+void expect_pinned(const ExecutionBody& fiber_body,
+                   const ExecutionBody& stepped_body, const Pin& pin) {
+  expect_pinned_crash_free(fiber_body, stepped_body, pin);
 
   // Crash axis (f = 1): no historical pins, so the serial fiber run is the
   // reference and every other {engine, threads} cell must match it
@@ -313,6 +341,15 @@ TEST(ExplorerEquivalencePin, WrnWorld) {
 TEST(ExplorerEquivalencePin, ClassicConsensusWorld) {
   expect_pinned(consensus_world(Eng::kFiber), consensus_world(Eng::kStepped),
                 {"consensus", 6, 2, 2});
+}
+
+// 1,680 raw interleavings (9!/(3!)^3), equal on both engines at threads 1
+// and 4. The crash and recovery axes are left to the small worlds above:
+// crash branching multiplies this tree past a unit-test budget.
+TEST(ExplorerEquivalencePin, ReadsWorld) {
+  expect_pinned_crash_free(reads_world(Eng::kFiber),
+                           reads_world(Eng::kStepped),
+                           {"reads", 1680, 1, 9});
 }
 
 TEST(ExplorerEquivalencePin, RegisterWorldStateful) {

@@ -45,7 +45,7 @@ TEST(GacModel, HangsWithoutMutationBeyondCapacity) {
 TEST(GacModel, KeyIsABisimulation) {
   // Property: equal canonical keys ⇒ identical responses on every future
   // op sequence. Randomized check over state pairs and futures.
-  for (const auto [n, i] : {std::pair{1, 2}, {2, 1}, {2, 2}, {3, 1}}) {
+  for (const auto& [n, i] : {std::pair{1, 2}, {2, 1}, {2, 2}, {3, 1}}) {
     const GacModel model{n, i, {1, 2}};
     const auto states = model.states();
     // Group states by key.

@@ -104,6 +104,18 @@ TEST(Runtime, HangIsUndetectableButRecorded) {
   EXPECT_EQ(result.decisions[1], 7);
 }
 
+/// Runs `rt` round-robin and returns the message of the SimError it throws.
+std::string sim_error_of(Runtime& rt) {
+  RoundRobinDriver driver;
+  try {
+    rt.run(driver);
+  } catch (const SimError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "run threw no SimError";
+  return "";
+}
+
 TEST(Runtime, DecideTwiceThrows) {
   Runtime rt;
   Register<> reg(0);
@@ -112,8 +124,7 @@ TEST(Runtime, DecideTwiceThrows) {
     ctx.decide(1);
     ctx.decide(2);
   });
-  RoundRobinDriver driver;
-  EXPECT_THROW(rt.run(driver), SimError);
+  EXPECT_EQ(sim_error_of(rt), "process 0 decided twice");
 }
 
 TEST(Runtime, DecideBottomThrows) {
@@ -123,8 +134,38 @@ TEST(Runtime, DecideBottomThrows) {
     reg.read(ctx);
     ctx.decide(kBottom);
   });
-  RoundRobinDriver driver;
-  EXPECT_THROW(rt.run(driver), SimError);
+  EXPECT_EQ(sim_error_of(rt), "decide(⊥) is not a valid task output");
+}
+
+/// Reads `reg` once, then decides each of `values` in turn: the stepped
+/// twin of the two fiber bodies above.
+struct SteppedDecider {
+  Register<>* reg;
+  std::vector<Value> values;
+
+  void step(StepContext& ctx) {
+    SUBC_STEP_BEGIN(ctx);
+    SUBC_STEP_POINT(ctx, reg->oid(), AccessKind::kRead);
+    static_cast<void>(reg->step_read(ctx));
+    for (const Value v : values) {
+      ctx.decide(v);
+    }
+    SUBC_STEP_END(ctx);
+  }
+};
+
+TEST(Runtime, SteppedDecideTwiceThrows) {
+  Runtime rt;
+  Register<> reg(0);
+  rt.add_stepped(SteppedDecider{&reg, {1, 2}});
+  EXPECT_EQ(sim_error_of(rt), "process 0 decided twice");
+}
+
+TEST(Runtime, SteppedDecideBottomThrows) {
+  Runtime rt;
+  Register<> reg(0);
+  rt.add_stepped(SteppedDecider{&reg, {kBottom}});
+  EXPECT_EQ(sim_error_of(rt), "decide(⊥) is not a valid task output");
 }
 
 TEST(Runtime, StepBoundDetectsNonTermination) {
